@@ -13,10 +13,10 @@
 // run against the wrong backend's baseline (bench/baselines/ keeps one file
 // per backend).
 //
-// Kernels: the GEMM and im2col+GEMM convolution that dominate training
-// compute, the coordinate-median and Krum robust aggregation paths, the
-// lossless checkpoint double-packing round trip, and a durable store
-// commit. Each kernel runs `reps` iterations per trial and the minimum
+// Kernels: the GEMM and a convolution training step (im2col, the three
+// GEMMs, col2im) that dominate training compute, the coordinate-median
+// and Krum robust aggregation paths, the lossless checkpoint
+// double-packing round trip, and a durable store commit. Each kernel runs `reps` iterations per trial and the minimum
 // per-rep wall time across trials is reported — the minimum is the
 // standard noise-rejecting statistic for microbenches (interruptions only
 // ever make a trial slower, never faster).
@@ -159,15 +159,32 @@ int main(int argc, char** argv) {
     });
   }
 
-  // --- conv: im2col + GEMM forward pass, training-shaped ------------------
+  // --- conv: one training step of cnn2's second conv ---------------------
+  // Forward + backward at batch 16, 16 -> 32 channels, 5x5 over 8x8 (the
+  // FedAvg cnn2 workload's conv2). The upstream gradient is what ReLU and
+  // 2x2 max-pooling hand back: one position per pooling window, half of
+  // those dead, so the backward GEMMs see their training-time sparsity.
   {
     Rng rng(0xBE7C02ULL);
-    spatl::nn::Conv2d conv(8, 16, 3);
+    spatl::nn::Conv2d conv(16, 32, 5, 1, 2, /*bias=*/true);
     conv.init_params(rng);
-    Tensor input = Tensor::randn({4, 8, 16, 16}, rng);
-    results["conv"] = measure(reps(32), trials, [&] {
-      Tensor out = conv.forward(input, /*train=*/false);
-      g_sink += double(out.data()[0]);
+    Tensor input = Tensor::randn({16, 16, 8, 8}, rng);
+    for (float& v : input.storage()) v = std::max(v, 0.0f);
+    Tensor grad({16, 32, 8, 8});
+    for (std::size_t plane = 0; plane < 16 * 32; ++plane) {
+      for (std::size_t wy = 0; wy < 8; wy += 2) {
+        for (std::size_t wx = 0; wx < 8; wx += 2) {
+          if (rng.uniform() < 0.5) continue;
+          const std::size_t y = wy + rng.uniform_index(2);
+          const std::size_t x = wx + rng.uniform_index(2);
+          grad[plane * 64 + y * 8 + x] = rng.normal_float(0.0f, 1.0f);
+        }
+      }
+    }
+    results["conv"] = measure(reps(16), trials, [&] {
+      Tensor out = conv.forward(input, /*train=*/true);
+      Tensor dx = conv.backward(grad);
+      g_sink += double(out.data()[0]) + double(dx.data()[0]);
     });
   }
 

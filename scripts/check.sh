@@ -39,14 +39,16 @@
 #       --all. Default build dir: build-coverage.
 #
 #   scripts/check.sh --perf [build-dir]    perf tier: Release build of the
-#       bench_perf kernel microbenches (GEMM, conv, robust aggregation,
-#       checkpoint packing, store commit), run once per compute backend
-#       (scalar and, where the CPU supports it, cpu-simd) with min-of-N
-#       timings written to <build-dir>/BENCH_PERF.<backend>.json and gated
-#       by scripts/perf_gate.py against the matching
+#       bench_perf kernel microbenches (GEMM, conv training step, robust
+#       aggregation, checkpoint packing, store commit), run once per
+#       compute backend (scalar and, where the CPU supports it, cpu-simd)
+#       with min-of-N timings written to <build-dir>/BENCH_PERF.<backend>.json
+#       and gated by scripts/perf_gate.py against the matching
 #       bench/baselines/BENCH_PERF.<backend>.baseline.json; then the
 #       bench_kernels backend x shape sweep enforcing the SIMD conv forward
-#       speedup floor. Machine-dependent by nature, so it is NOT part of
+#       speedup floor; then `python3 e2ebench/run.py --smoke`, one round of
+#       every end-to-end workload through the benchmark's correctness
+#       gates. Machine-dependent by nature, so it is NOT part of
 #       --all; tolerances in the baselines are sized for laptop-class
 #       variance. Refresh a baseline by copying a clean
 #       BENCH_PERF.<backend>.json over it on a quiet machine. Default:
@@ -217,6 +219,11 @@ run_perf() {
   # on hardware without AVX2/FMA).
   "$dir"/bench/bench_kernels --min-conv-speedup 4 \
     --out "$dir"/BENCH_KERNELS.csv
+  # One round of every e2ebench workload, traced and untraced: runs the
+  # benchmark's correctness gates (finite losses, analytic traffic,
+  # bit-identical repeat and traced runs, crash-drill recovery) and checks
+  # its metric names against BENCHMARK.json.
+  python3 e2ebench/run.py --smoke
   echo "perf check passed"
 }
 

@@ -1,7 +1,11 @@
 #include "fl/server_opt.hpp"
 
 #include <cmath>
+#include <cstdint>
+#include <stdexcept>
+#include <utility>
 
+#include "fl/checkpoint.hpp"
 #include "fl/flat_utils.hpp"
 
 namespace spatl::fl {
@@ -59,6 +63,31 @@ void ServerOptFedAvg::run_round(const std::vector<std::size_t>& selected) {
   }
   nn::unflatten_values(w_new, views);
   unflatten_bn_stats(bn_accum, global_);
+}
+
+void ServerOptFedAvg::save_state(RunCheckpoint& out) {
+  FederatedAlgorithm::save_state(out);
+  out.entries.push_back(pack_floats("algo/serveropt/velocity", velocity_));
+  out.entries.push_back(pack_floats("algo/serveropt/second", second_));
+  out.entries.push_back(
+      pack_u64s("algo/serveropt/step", {std::uint64_t(step_)}));
+}
+
+void ServerOptFedAvg::load_state(const RunCheckpoint& in) {
+  FederatedAlgorithm::load_state(in);
+  std::vector<float> velocity = unpack_floats(in.at("algo/serveropt/velocity"));
+  std::vector<float> second = unpack_floats(in.at("algo/serveropt/second"));
+  const std::vector<std::uint64_t> step =
+      unpack_u64s(in.at("algo/serveropt/step"));
+  if (velocity.size() != velocity_.size() || second.size() != second_.size() ||
+      step.size() != 1) {
+    throw std::runtime_error(
+        "ServerOptFedAvg: checkpoint optimizer state does not match the "
+        "model or optimizer");
+  }
+  velocity_ = std::move(velocity);
+  second_ = std::move(second);
+  step_ = std::int64_t(step[0]);
 }
 
 }  // namespace spatl::fl

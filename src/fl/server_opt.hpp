@@ -21,6 +21,7 @@ struct ServerOptConfig {
   double eps = 1e-3;        // tau in the paper's notation
 };
 
+// ckpt-struct: algo/serveropt/
 class ServerOptFedAvg : public FederatedAlgorithm {
  public:
   ServerOptFedAvg(FlEnvironment& env, FlConfig config, ServerOptConfig sopt);
@@ -30,12 +31,17 @@ class ServerOptFedAvg : public FederatedAlgorithm {
                                                          : "fedadam";
   }
   void run_round(const std::vector<std::size_t>& selected) override;
+  void save_state(RunCheckpoint& out) override;
+  void load_state(const RunCheckpoint& in) override;
 
  private:
-  ServerOptConfig sopt_;
-  std::vector<float> velocity_;  // momentum buffer / Adam m
-  std::vector<float> second_;    // Adam v
-  std::int64_t step_ = 0;
+  ServerOptConfig sopt_;  // ckpt: none(configuration, rebuilt from flags)
+  // Momentum buffer / Adam m.
+  std::vector<float> velocity_;  // ckpt: algo/serveropt/velocity
+  // Adam v; empty for momentum.
+  std::vector<float> second_;  // ckpt: algo/serveropt/second
+  // Adam's bias-correction step count.
+  std::int64_t step_ = 0;  // ckpt: algo/serveropt/step
 };
 
 }  // namespace spatl::fl

@@ -11,9 +11,12 @@ namespace spatl::nn {
 
 namespace {
 
-// (rows=N*oh*ow, C) row-major -> (N, C, oh, ow).
-void rows_to_nchw(const Tensor& rows, std::size_t batch, std::size_t channels,
-                  std::size_t oh, std::size_t ow, Tensor& out) {
+// (rows=N*oh*ow, C) row-major -> (N, C, oh, ow), adding bias[c] to channel
+// c when `bias` is non-null (one add per element, so the result does not
+// depend on where the add happens).
+void rows_to_nchw(const Tensor& rows, const float* bias, std::size_t batch,
+                  std::size_t channels, std::size_t oh, std::size_t ow,
+                  Tensor& out) {
   const tensor::Shape shape{batch, channels, oh, ow};
   if (out.shape() != shape) out = Tensor(shape);
   const float* src = rows.data();
@@ -24,10 +27,16 @@ void rows_to_nchw(const Tensor& rows, std::size_t batch, std::size_t channels,
       [&](std::size_t n) {
         const float* src_n = src + n * hw * channels;
         float* dst_n = dst + n * channels * hw;
-        for (std::size_t p = 0; p < hw; ++p) {
-          const float* row = src_n + p * channels;
-          for (std::size_t c = 0; c < channels; ++c) {
-            dst_n[c * hw + p] = row[c];
+        for (std::size_t c = 0; c < channels; ++c) {
+          float* plane = dst_n + c * hw;
+          const float* col = src_n + c;
+          if (bias != nullptr) {
+            const float b = bias[c];
+            for (std::size_t p = 0; p < hw; ++p) {
+              plane[p] = col[p * channels] + b;
+            }
+          } else {
+            for (std::size_t p = 0; p < hw; ++p) plane[p] = col[p * channels];
           }
         }
       },
@@ -97,27 +106,9 @@ Tensor Conv2d::forward(const Tensor& input, bool /*train*/) {
   // add, the layout shuffle — is pure data movement plus independent
   // per-element adds, so it is backend-agnostic and bit-stable.
   tensor::matmul_nt(cached_cols_, w_, rows);  // (rows, out)
-  if (has_bias_) {
-    float* p = rows.data();
-    const std::size_t nrows = rows.dim(0);
-    const std::size_t oc = out_channels_;
-    const float* bias = b_.data();
-    // Each output row is touched by exactly one chunk, and each element
-    // receives a single add, so the result is bitwise independent of the
-    // chunking (no reduction crosses a row).
-    common::parallel_for_ranges(
-        0, nrows,
-        [&](std::size_t lo, std::size_t hi) {
-          for (std::size_t r = lo; r < hi; ++r) {
-            float* row = p + r * oc;
-            for (std::size_t c = 0; c < oc; ++c) row[c] += bias[c];
-          }
-        },
-        /*grain=*/std::max<std::size_t>(1, 4096 / std::max<std::size_t>(1, oc)));
-  }
   Tensor out;
-  rows_to_nchw(rows, cached_batch_, out_channels_, cached_geom_.out_h(),
-               cached_geom_.out_w(), out);
+  rows_to_nchw(rows, has_bias_ ? b_.data() : nullptr, cached_batch_,
+               out_channels_, cached_geom_.out_h(), cached_geom_.out_w(), out);
   return out;
 }
 
@@ -134,10 +125,11 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
   gw_ += dw;
   if (has_bias_) {
     const float* g = grows.data();
+    float* gb = gb_.data();
     const std::size_t nrows = grows.dim(0);
     for (std::size_t r = 0; r < nrows; ++r) {
       for (std::size_t c = 0; c < out_channels_; ++c) {
-        gb_[c] += g[r * out_channels_ + c];
+        gb[c] += g[r * out_channels_ + c];
       }
     }
   }

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <stdexcept>
 
+#include "common/check.hpp"
 #include "tensor/ops.hpp"
 
 namespace spatl::nn {
@@ -69,20 +72,67 @@ void Linear::collect_params(const std::string& prefix,
 
 // --------------------------------------------------------------- ReLU ----
 
+namespace {
+
+// Both ReLU passes are branch-free bit selects, so their cost does not
+// depend on the sign pattern of the data. ReLU::forward/backward call them
+// on fixed-size blocks, which lets the compiler vectorize the loops.
+constexpr std::size_t kReluBlock = 64;
+
+inline void relu_forward_span(float* __restrict y,
+                              std::uint8_t* __restrict live,
+                              std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    const float v = y[i];
+    // max(v, 0): only v < 0 becomes +0; -0 and NaN pass through.
+    std::uint32_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    bits &= std::uint32_t(v < 0.0f) - 1u;
+    std::memcpy(y + i, &bits, sizeof(bits));
+    live[i] = !(v <= 0.0f);  // backward's mask: NaN is live, -0 is not
+  }
+}
+
+inline void relu_backward_span(float* __restrict g,
+                               const std::uint8_t* __restrict live,
+                               std::size_t count) {
+  // A dead unit's gradient becomes +0 whatever it was (NaN and Inf
+  // included); a live unit's passes through bit for bit.
+  for (std::size_t i = 0; i < count; ++i) {
+    std::uint32_t bits;
+    std::memcpy(&bits, g + i, sizeof(bits));
+    bits &= 0u - std::uint32_t(live[i]);
+    std::memcpy(g + i, &bits, sizeof(bits));
+  }
+}
+
+}  // namespace
+
 Tensor ReLU::forward(const Tensor& input, bool /*train*/) {
-  cached_input_ = input;
   Tensor out = input;
-  for (auto& v : out.storage()) v = std::max(v, 0.0f);
+  const std::size_t count = out.numel();
+  live_.resize(count);
+  float* y = out.data();
+  std::uint8_t* live = live_.data();
+  std::size_t i = 0;
+  for (; i + kReluBlock <= count; i += kReluBlock) {
+    relu_forward_span(y + i, live + i, kReluBlock);
+  }
+  relu_forward_span(y + i, live + i, count - i);
   return out;
 }
 
 Tensor ReLU::backward(const Tensor& grad_output) {
   Tensor dx = grad_output;
-  const float* x = cached_input_.data();
+  const std::size_t count = dx.numel();
+  SPATL_DCHECK(live_.size() == count);
   float* g = dx.data();
-  for (std::size_t i = 0; i < dx.numel(); ++i) {
-    if (x[i] <= 0.0f) g[i] = 0.0f;
+  const std::uint8_t* live = live_.data();
+  std::size_t i = 0;
+  for (; i + kReluBlock <= count; i += kReluBlock) {
+    relu_backward_span(g + i, live + i, kReluBlock);
   }
+  relu_backward_span(g + i, live + i, count - i);
   return dx;
 }
 

@@ -32,7 +32,8 @@ class Linear : public Module {
   Tensor cached_input_;
 };
 
-/// Elementwise max(x, 0).
+/// Elementwise max(x, 0). Backward passes the gradient where x > 0 or x is
+/// NaN and zeroes it where x <= 0 (-0 included).
 class ReLU : public Module {
  public:
   Tensor forward(const Tensor& input, bool train) override;
@@ -40,7 +41,7 @@ class ReLU : public Module {
   std::string type_name() const override { return "ReLU"; }
 
  private:
-  Tensor cached_input_;
+  std::vector<std::uint8_t> live_;  // 1 where !(x <= 0), per element
 };
 
 /// (N, C, H, W) -> (N, C*H*W). Remembers the input shape for backward.

@@ -26,30 +26,43 @@ Tensor MaxPool2d::forward(const Tensor& input, bool /*train*/) {
   argmax_.assign(out.numel(), 0);
   const float* in = input.data();
   float* o = out.data();
+  // First strict maximum wins, and NaN never compares greater: a window
+  // with no maximum (all NaN or -Inf) outputs -Inf and routes its gradient
+  // to the plane's origin.
+  const bool pairs = kernel_ == 2 && stride_ == 2;
   common::parallel_for(
       0, n * c,
       [&](std::size_t plane_idx) {
         const float* plane = in + plane_idx * h * w;
         float* oplane = o + plane_idx * oh * ow;
         std::uint32_t* aplane = argmax_.data() + plane_idx * oh * ow;
+        const auto base = std::uint32_t(plane_idx * h * w);
         for (std::size_t oy = 0; oy < oh; ++oy) {
           for (std::size_t ox = 0; ox < ow; ++ox) {
             float best = -std::numeric_limits<float>::infinity();
             std::size_t best_idx = 0;
-            for (std::size_t ky = 0; ky < kernel_; ++ky) {
-              for (std::size_t kx = 0; kx < kernel_; ++kx) {
-                const std::size_t iy = oy * stride_ + ky;
-                const std::size_t ix = ox * stride_ + kx;
-                const float v = plane[iy * w + ix];
-                if (v > best) {
-                  best = v;
-                  best_idx = iy * w + ix;
+            // Branch-free: random data makes every comparison a coin flip.
+            const auto take = [&](std::size_t at) {
+              const float v = plane[at];
+              const std::size_t wins = 0 - std::size_t(v > best);
+              best_idx ^= (best_idx ^ at) & wins;
+              best = v > best ? v : best;
+            };
+            const std::size_t corner = oy * stride_ * w + ox * stride_;
+            if (pairs) {
+              take(corner);
+              take(corner + 1);
+              take(corner + w);
+              take(corner + w + 1);
+            } else {
+              for (std::size_t ky = 0; ky < kernel_; ++ky) {
+                for (std::size_t kx = 0; kx < kernel_; ++kx) {
+                  take(corner + ky * w + kx);
                 }
               }
             }
             oplane[oy * ow + ox] = best;
-            aplane[oy * ow + ox] =
-                std::uint32_t(plane_idx * h * w + best_idx);
+            aplane[oy * ow + ox] = base + std::uint32_t(best_idx);
           }
         }
       },

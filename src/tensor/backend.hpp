@@ -14,7 +14,7 @@
 //             inputs, and the oracle every other backend is judged against
 //             (tests/test_backend.cpp). test_thread_determinism runs locked
 //             on this backend.
-//   cpu-simd  blocked, register-tiled AVX2+FMA kernels
+//   cpu-simd  register-tiled AVX2+FMA kernels
 //             (src/tensor/simd/gemm_avx2.cpp) behind a runtime CPU check.
 //             Ulp-bounded against scalar (see the accumulation contract in
 //             ops.hpp); falls back to scalar when the CPU lacks AVX2/FMA.
@@ -50,6 +50,12 @@ BackendKind parse_backend(const std::string& name);
 
 /// True when the running CPU supports the cpu-simd kernels (AVX2 + FMA).
 bool cpu_simd_supported();
+
+/// Row panels handed to a backend span a multiple of this many rows (the
+/// last panel of a matrix excepted), so a register tile of up to
+/// kGemmRowTile rows never straddles two panels. Panel geometry is
+/// bit-neutral for the GEMM family: no reduction crosses a row.
+inline constexpr std::size_t kGemmRowTile = 4;
 
 /// A compute backend: row-panel GEMM kernels. `row_lo`/`row_hi` bound the
 /// output rows this call owns; panels never overlap, so implementations are

@@ -38,8 +38,9 @@
 namespace spatl::tensor {
 
 /// True when every one of `count` floats at `p` is finite (no NaN/Inf).
-/// O(count) with early exit; the GEMM entry points run it once per call on
-/// the B operand to license the pruned-row elision (see ops.cpp).
+/// O(count), branch-free within blocks of 1024 floats and exiting early
+/// between them; the GEMM entry points run it once per call on the B
+/// operand to license the pruned-row elision (see ops.cpp).
 bool all_finite(const float* p, std::size_t count);
 
 // ---------------------------------------------------------------- GEMM ----

@@ -1,7 +1,8 @@
 // ComputeContext backend seam (tensor/backend.hpp): selection semantics,
 // the scalar oracle's bit-identity against the historical kernels, NaN/Inf
-// propagation on every backend, and the cpu-simd backend's documented ulp
-// bound + thread-count invariance.
+// propagation on every backend, the cpu-simd backend's documented ulp
+// bound + thread-count invariance and its pinned output bits, and the
+// exactness of the conv data path around the GEMMs.
 //
 // Contract under test (tensor/ops.hpp):
 //   (a) scalar is bit-identical to the pre-backend kernels on finite inputs
@@ -10,7 +11,11 @@
 //   (b) NaN/Inf in either operand propagates per IEEE-754 on both backends
 //       even where pruned rows used to swallow them,
 //   (c) cpu-simd is within max ulp distance 4*k of scalar per element and
-//       is itself bit-identical across 1/2/8-thread pools.
+//       is itself bit-identical across 1/2/8-thread pools,
+//   (d) cpu-simd's output bits match known answers recorded before its
+//       register-tiled kernels,
+//   (e) the conv data path (im2col/col2im, ReLU, MaxPool2d) matches naive
+//       loops bit for bit.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -24,9 +29,12 @@
 #include "data/synthetic.hpp"
 #include "fl/algorithm.hpp"
 #include "fl/runner.hpp"
+#include "fl/store/format.hpp"
 #include "nn/conv.hpp"
 #include "nn/depthwise.hpp"
+#include "nn/layers.hpp"
 #include "nn/module.hpp"
+#include "nn/pool.hpp"
 #include "tensor/backend.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -343,9 +351,9 @@ struct GemmCase {
   std::size_t m, k, n;
 };
 
-// Shapes chosen to hit every SIMD code path: the 32-column tile, the
-// 8-column tile, the masked tail, the 4-dot nt tile, its j remainder, and
-// the scalar k tail.
+// Shapes chosen to hit every SIMD code path: the 24-column nn/tn tile, the
+// 8- and 16-column remainders, the masked tail, 1- to 4-row tiles, the
+// 2x4 nt tile, its row and column remainders, and the k tail.
 const GemmCase kGemmCases[] = {
     {1, 1, 1},   {2, 3, 4},    {7, 5, 3},     {16, 16, 16},
     {33, 17, 9}, {67, 123, 45}, {12, 64, 40},  {5, 9, 77},
@@ -453,6 +461,333 @@ TEST(SimdBackend, BitIdenticalAcrossPoolSizes) {
   const auto eight = with_pool_size(8, run);
   EXPECT_TRUE(bit_identical(one, two));
   EXPECT_TRUE(bit_identical(one, eight));
+}
+
+// --- (d) cpu-simd known answers ---------------------------------------------
+//
+// CRC-32s of cpu-simd GEMM outputs on seeded inputs, recorded from the
+// one-row-at-a-time AVX2 panels that preceded the register-tiled kernels.
+// The tiled kernels promise the same operation sequence per output element
+// (an FMA chain over ascending p from +0 for nn/tn; eight lane partials, the
+// same hsum tree and the same scalar tail for nt), so not one output bit may
+// move. A kernel change that alters any output fails here.
+
+std::uint32_t crc_of(const Tensor& t) {
+  return fl::store::crc32(t.data(), t.numel() * sizeof(float));
+}
+
+/// How the A operand is thinned, mimicking what reaches the GEMMs in
+/// training: post-ReLU activations and gradients (about half zero) and
+/// gradients routed back through 2x2 max-pooling (three quarters zero more).
+enum class Sparsity { kDense, kRelu, kPool };
+
+Tensor seeded_operand(std::size_t rows, std::size_t cols, Sparsity s,
+                      common::Rng& rng) {
+  Tensor t = Tensor::randn({rows, cols}, rng);
+  for (float& v : t.storage()) {
+    if (s != Sparsity::kDense && v < 0.0f) v = 0.0f;
+    if (s == Sparsity::kPool && rng.uniform() < 0.75) v = 0.0f;
+  }
+  return t;
+}
+
+/// One GEMM-bearing layer at a benchmark workload's training shape: `rows`
+/// im2col rows (batch x out_h x out_w, or the batch for a Linear), `patch`
+/// columns (C_in x k x k, or in_features) and `out` channels. Forward is
+/// matmul_nt(cols, W), backward matmul_tn(dRows, cols) for dW and
+/// matmul(dRows, W) for dCols.
+struct LayerCrc {
+  const char* layer;
+  std::size_t rows, patch, out;
+  std::uint32_t fwd_nt, dw_tn, dx_nn;
+};
+
+const LayerCrc kLayerCrcs[] = {
+    // cnn2 / 16x16 / width 0.5, batch 16: 5x5 convs, then the predictor.
+    {"cnn2.conv1", 4096, 25, 16, 0xdd49f4eau, 0x204e3bebu, 0x255ae4f7u},
+    {"cnn2.conv2", 1024, 400, 32, 0x5ca187b7u, 0xf7952c17u, 0xab24342du},
+    {"cnn2.fc1", 16, 512, 128, 0x1a5526a5u, 0x1caeb891u, 0x31130766u},
+    {"cnn2.fc2", 16, 128, 10, 0xd32673bfu, 0x48cda674u, 0xf5470accu},
+    // resnet20 / 16x16 / width 0.5, batch 16: one of each distinct shape,
+    // 1x1 strided projections included.
+    {"resnet20.stem", 4096, 27, 8, 0xed4833bcu, 0x82489f46u, 0xff7d09c1u},
+    {"resnet20.stage1", 4096, 72, 8, 0x81d19168u, 0xce4c992du, 0xaceefed5u},
+    {"resnet20.down2", 1024, 72, 16, 0xb9df4ea3u, 0x1d616e75u, 0xef10b8fdu},
+    {"resnet20.proj2", 1024, 8, 16, 0xf3d53c9cu, 0x6755edc0u, 0xd426fa4du},
+    {"resnet20.stage2", 1024, 144, 16, 0x3cf61adbu, 0x7ab77247u, 0x06a8b9f3u},
+    {"resnet20.down3", 256, 144, 32, 0xd9a4962du, 0xe144977eu, 0x69c000a5u},
+    {"resnet20.proj3", 256, 16, 32, 0x7a1ef5cfu, 0x9da95b9cu, 0x8eceb217u},
+    {"resnet20.stage3", 256, 288, 32, 0xa76397a2u, 0x4a455103u, 0xa0b403e2u},
+    // vgg11 / 8x8 / width 0.5, batch 16.
+    {"vgg11.conv1", 1024, 27, 32, 0xd552eb8eu, 0x2f3a482fu, 0x0d4fee08u},
+    {"vgg11.conv2", 256, 288, 64, 0xf92b95b6u, 0x04d82f99u, 0x49d5f675u},
+    {"vgg11.conv3", 64, 576, 128, 0x93276503u, 0xb549b741u, 0xf071c9d8u},
+    {"vgg11.conv4", 64, 1152, 128, 0x867860f1u, 0xdae7bf79u, 0xfdcf0b73u},
+    {"vgg11.conv5", 16, 1152, 256, 0x3b2f5753u, 0xd4e8ff54u, 0x3d282381u},
+    {"vgg11.conv6", 16, 2304, 256, 0x2fb8db45u, 0xed529d11u, 0x7200e286u},
+};
+
+TEST(SimdKnownAnswer, WorkloadLayerGemmsMatchRecordedBits) {
+  if (!tensor::cpu_simd_supported()) {
+    GTEST_SKIP() << "CPU lacks AVX2/FMA";
+  }
+  BackendGuard guard(BackendKind::kCpuSimd);
+  for (const LayerCrc& lc : kLayerCrcs) {
+    common::Rng rng(lc.rows * 1000003 + lc.patch * 1009 + lc.out);
+    const Tensor cols = seeded_operand(lc.rows, lc.patch, Sparsity::kRelu, rng);
+    const Tensor w = seeded_operand(lc.out, lc.patch, Sparsity::kDense, rng);
+    const Tensor grows = seeded_operand(lc.rows, lc.out, Sparsity::kPool, rng);
+    Tensor c;
+    tensor::matmul_nt(cols, w, c);
+    EXPECT_EQ(crc_of(c), lc.fwd_nt) << lc.layer << " fwd_nt";
+    tensor::matmul_tn(grows, cols, c);
+    EXPECT_EQ(crc_of(c), lc.dw_tn) << lc.layer << " dw_tn";
+    tensor::matmul(grows, w, c);
+    EXPECT_EQ(crc_of(c), lc.dx_nn) << lc.layer << " dx_nn";
+  }
+}
+
+/// Edge geometries: m off the row tile, n % 8 in 1..7, k < 8 and k % 8 != 0,
+/// k spanning several depth blocks, sparse A, and a poisoned B (NaN and
+/// +/-Inf, so b_finite is false and every 0 * non-finite product must be
+/// formed).
+struct EdgeCrc {
+  std::size_t m, k, n;
+  Sparsity sparsity;
+  bool poison_b;
+  std::uint32_t nn, tn, nt;
+};
+
+const EdgeCrc kEdgeCrcs[] = {
+    {1, 1, 1, Sparsity::kDense, false,
+     0x9359b754u, 0x9359b754u, 0x9359b754u},
+    {37, 5, 9, Sparsity::kDense, false,
+     0xac10d644u, 0xac10d644u, 0xac10d644u},
+    {13, 3, 15, Sparsity::kRelu, false,
+     0x9464ac46u, 0x9464ac46u, 0x9464ac46u},
+    {29, 13, 18, Sparsity::kRelu, false,
+     0xd8d7fd5au, 0xd8d7fd5au, 0xdd62ec75u},
+    {7, 21, 20, Sparsity::kPool, false,
+     0xf5670d35u, 0xf5670d35u, 0x01047c89u},
+    {45, 8, 22, Sparsity::kRelu, false,
+     0xce0e0af5u, 0xce0e0af5u, 0xf33f9ac8u},
+    {11, 19, 3, Sparsity::kPool, false,
+     0x3c7c1d5du, 0x3c7c1d5du, 0x98dfe42eu},
+    {6, 17, 45, Sparsity::kDense, false,
+     0x34de9615u, 0x34de9615u, 0x2c94012cu},
+    {50, 33, 13, Sparsity::kPool, false,
+     0x9108a63bu, 0x9108a63bu, 0x27c90eeau},
+    {26, 7, 100, Sparsity::kRelu, false,
+     0xfb8745a5u, 0xfb8745a5u, 0xfb8745a5u},
+    {23, 11, 27, Sparsity::kRelu, true,
+     0x3f1fb2a9u, 0x3f1fb2a9u, 0x5ceddbf8u},
+    {9, 40, 31, Sparsity::kPool, true,
+     0x01c2a208u, 0x01c2a208u, 0x7374da6du},
+    {10, 520, 9, Sparsity::kRelu, false,
+     0x7f488ed5u, 0x7f488ed5u, 0x6d6ec5acu},
+    {5, 300, 10, Sparsity::kPool, true,
+     0x8d429d8bu, 0x8d429d8bu, 0xf9a7c86cu},
+};
+
+TEST(SimdKnownAnswer, EdgeGeometriesMatchRecordedBits) {
+  if (!tensor::cpu_simd_supported()) {
+    GTEST_SKIP() << "CPU lacks AVX2/FMA";
+  }
+  BackendGuard guard(BackendKind::kCpuSimd);
+  for (const EdgeCrc& ec : kEdgeCrcs) {
+    common::Rng rng(ec.m * 7919 + ec.k * 131 + ec.n);
+    Tensor a = seeded_operand(ec.m, ec.k, ec.sparsity, rng);
+    if (ec.m > 4) prune_rows(a, {1, ec.m - 2});
+    Tensor b = seeded_operand(ec.k, ec.n, Sparsity::kDense, rng);
+    if (ec.poison_b) {
+      b[(ec.k / 2) * ec.n + ec.n - 1] = kNaN;
+      b[ec.n / 3] = kInf;
+      b[(ec.k - 1) * ec.n] = -kInf;
+    }
+    Tensor c;
+    tensor::matmul(a, b, c);
+    EXPECT_EQ(crc_of(c), ec.nn) << ec.m << "x" << ec.k << "x" << ec.n << " nn";
+    tensor::matmul_tn(transpose2d(a), b, c);
+    EXPECT_EQ(crc_of(c), ec.tn) << ec.m << "x" << ec.k << "x" << ec.n << " tn";
+    tensor::matmul_nt(a, transpose2d(b), c);
+    EXPECT_EQ(crc_of(c), ec.nt) << ec.m << "x" << ec.k << "x" << ec.n << " nt";
+  }
+}
+
+// --- (e) conv data path vs naive loops --------------------------------------
+//
+// im2col/col2im, ReLU and MaxPool2d are pure data movement (plus col2im's
+// per-pixel sums), so every backend must reproduce these naive loops bit
+// for bit, on any geometry and with NaN, Inf and -0 in the data.
+
+/// Randn data salted with the values that trip up branch-free rewrites.
+Tensor salted(Shape shape, common::Rng& rng) {
+  Tensor t = Tensor::randn(std::move(shape), rng);
+  const float specials[] = {0.0f, -0.0f, kNaN, kInf, -kInf, 1e-40f, -1e-40f};
+  for (std::size_t i = 0; i < t.numel(); i += 5) {
+    t[i] = specials[(i / 5) % (sizeof(specials) / sizeof(float))];
+  }
+  return t;
+}
+
+struct ConvGeomCase {
+  std::size_t batch, channels, h, w, kernel, stride, pad;
+};
+
+const ConvGeomCase kConvGeoms[] = {
+    {2, 3, 7, 5, 3, 2, 1}, {2, 2, 2, 3, 3, 1, 2}, {1, 1, 1, 1, 1, 1, 0},
+    {2, 4, 9, 6, 1, 2, 0}, {1, 2, 3, 3, 5, 1, 2}, {2, 3, 6, 8, 3, 1, 0},
+    {1, 2, 5, 7, 3, 2, 2}, {2, 1, 2, 1, 3, 1, 1}, {1, 3, 8, 8, 5, 2, 1},
+    {3, 2, 16, 16, 3, 1, 1}, {2, 16, 8, 8, 5, 1, 2}, {2, 3, 6, 5, 2, 2, 1},
+    {1, 2, 4, 5, 7, 1, 3},
+};
+
+tensor::Conv2dGeom geom_of(const ConvGeomCase& gc) {
+  return tensor::Conv2dGeom{gc.channels, gc.h, gc.w,
+                            gc.kernel,   gc.stride, gc.pad};
+}
+
+Tensor naive_im2col(const Tensor& in, const tensor::Conv2dGeom& g) {
+  const std::size_t batch = in.dim(0), oh = g.out_h(), ow = g.out_w();
+  Tensor cols({batch * oh * ow, g.patch_size()});
+  std::size_t idx = 0;
+  for (std::size_t n = 0; n < batch; ++n)
+    for (std::size_t oy = 0; oy < oh; ++oy)
+      for (std::size_t ox = 0; ox < ow; ++ox)
+        for (std::size_t c = 0; c < g.in_channels; ++c)
+          for (std::size_t ky = 0; ky < g.kernel; ++ky)
+            for (std::size_t kx = 0; kx < g.kernel; ++kx) {
+              const long iy = long(oy * g.stride + ky) - long(g.pad);
+              const long ix = long(ox * g.stride + kx) - long(g.pad);
+              const bool inside = iy >= 0 && iy < long(g.in_h) && ix >= 0 &&
+                                  ix < long(g.in_w);
+              cols[idx++] =
+                  inside ? in[((n * g.in_channels + c) * g.in_h +
+                               std::size_t(iy)) * g.in_w + std::size_t(ix)]
+                         : 0.0f;
+            }
+  return cols;
+}
+
+Tensor naive_col2im(const Tensor& cols, const tensor::Conv2dGeom& g,
+                    std::size_t batch) {
+  Tensor out({batch, g.in_channels, g.in_h, g.in_w});
+  const std::size_t oh = g.out_h(), ow = g.out_w();
+  std::size_t idx = 0;
+  for (std::size_t n = 0; n < batch; ++n)
+    for (std::size_t oy = 0; oy < oh; ++oy)
+      for (std::size_t ox = 0; ox < ow; ++ox)
+        for (std::size_t c = 0; c < g.in_channels; ++c)
+          for (std::size_t ky = 0; ky < g.kernel; ++ky)
+            for (std::size_t kx = 0; kx < g.kernel; ++kx) {
+              const float v = cols[idx++];
+              const long iy = long(oy * g.stride + ky) - long(g.pad);
+              const long ix = long(ox * g.stride + kx) - long(g.pad);
+              if (iy >= 0 && iy < long(g.in_h) && ix >= 0 &&
+                  ix < long(g.in_w)) {
+                out[((n * g.in_channels + c) * g.in_h + std::size_t(iy)) *
+                        g.in_w +
+                    std::size_t(ix)] += v;
+              }
+            }
+  return out;
+}
+
+TEST(ConvDataPath, Im2colAndCol2imMatchNaiveLoops) {
+  for (const ConvGeomCase& gc : kConvGeoms) {
+    const tensor::Conv2dGeom g = geom_of(gc);
+    common::Rng rng(gc.h * 131 + gc.w * 17 + gc.kernel * 5 + gc.pad);
+    const Tensor in = salted({gc.batch, gc.channels, gc.h, gc.w}, rng);
+    Tensor cols;
+    tensor::im2col(in, g, cols);
+    EXPECT_TRUE(bit_identical(cols.storage(), naive_im2col(in, g).storage()))
+        << "im2col h=" << gc.h << " w=" << gc.w << " k=" << gc.kernel
+        << " s=" << gc.stride << " p=" << gc.pad;
+
+    const Tensor dcols = salted(cols.shape(), rng);
+    Tensor dx;
+    tensor::col2im(dcols, g, gc.batch, dx);
+    EXPECT_TRUE(
+        bit_identical(dx.storage(), naive_col2im(dcols, g, gc.batch).storage()))
+        << "col2im h=" << gc.h << " w=" << gc.w << " k=" << gc.kernel
+        << " s=" << gc.stride << " p=" << gc.pad;
+  }
+}
+
+TEST(ConvDataPath, ReluMatchesNaiveLoops) {
+  common::Rng rng(77);
+  const Tensor x = salted({3, 5, 7, 9}, rng);
+  const Tensor g = salted(x.shape(), rng);
+  nn::ReLU relu;
+  const Tensor y = relu.forward(x, /*train=*/true);
+  const Tensor dx = relu.backward(g);
+  Tensor want_y = x, want_dx = g;
+  for (std::size_t i = 0; i < x.numel(); ++i) {
+    want_y[i] = std::max(x[i], 0.0f);
+    if (x[i] <= 0.0f) want_dx[i] = 0.0f;
+  }
+  EXPECT_TRUE(bit_identical(y.storage(), want_y.storage()));
+  EXPECT_TRUE(bit_identical(dx.storage(), want_dx.storage()));
+}
+
+struct PoolCase {
+  std::size_t batch, channels, h, w, kernel, stride;
+};
+
+TEST(ConvDataPath, MaxPoolMatchesNaiveLoops) {
+  const PoolCase cases[] = {
+      {2, 3, 8, 8, 2, 2}, {2, 2, 7, 5, 2, 2}, {1, 3, 9, 9, 3, 2},
+      {1, 2, 6, 7, 2, 1}, {2, 2, 6, 6, 3, 3}, {1, 1, 2, 2, 2, 2},
+      {2, 4, 3, 17, 2, 2},
+  };
+  for (const PoolCase& pc : cases) {
+    common::Rng rng(pc.h * 31 + pc.w * 7 + pc.kernel + pc.stride);
+    Tensor x = salted({pc.batch, pc.channels, pc.h, pc.w}, rng);
+    // Tied windows (first max wins), an all-NaN window and an all -Inf
+    // window (neither has a max; the argmax stays at the plane origin).
+    for (std::size_t i = 0; i + 1 < x.numel(); i += 11) x[i + 1] = x[i];
+    x[0] = x[1] = x[pc.w] = x[pc.w + 1] = kNaN;
+    const std::size_t plane = pc.h * pc.w;
+    if (pc.batch * pc.channels > 1) {
+      x[plane] = x[plane + 1] = x[plane + pc.w] = x[plane + pc.w + 1] = -kInf;
+    }
+
+    const std::size_t oh = (pc.h - pc.kernel) / pc.stride + 1;
+    const std::size_t ow = (pc.w - pc.kernel) / pc.stride + 1;
+    Tensor want_y({pc.batch, pc.channels, oh, ow});
+    std::vector<std::size_t> want_arg(want_y.numel());
+    for (std::size_t p = 0; p < pc.batch * pc.channels; ++p)
+      for (std::size_t oy = 0; oy < oh; ++oy)
+        for (std::size_t ox = 0; ox < ow; ++ox) {
+          float best = -kInf;
+          std::size_t best_idx = 0;
+          for (std::size_t ky = 0; ky < pc.kernel; ++ky)
+            for (std::size_t kx = 0; kx < pc.kernel; ++kx) {
+              const std::size_t at =
+                  (oy * pc.stride + ky) * pc.w + ox * pc.stride + kx;
+              if (x[p * plane + at] > best) {
+                best = x[p * plane + at];
+                best_idx = at;
+              }
+            }
+          want_y[(p * oh + oy) * ow + ox] = best;
+          want_arg[(p * oh + oy) * ow + ox] = p * plane + best_idx;
+        }
+
+    nn::MaxPool2d pool(pc.kernel, pc.stride);
+    const Tensor y = pool.forward(x, /*train=*/true);
+    EXPECT_TRUE(bit_identical(y.storage(), want_y.storage()))
+        << "h=" << pc.h << " w=" << pc.w << " k=" << pc.kernel
+        << " s=" << pc.stride;
+
+    const Tensor g = salted(y.shape(), rng);
+    Tensor want_dx(x.shape());
+    for (std::size_t i = 0; i < g.numel(); ++i) want_dx[want_arg[i]] += g[i];
+    const Tensor dx = pool.backward(g);
+    EXPECT_TRUE(bit_identical(dx.storage(), want_dx.storage()))
+        << "h=" << pc.h << " w=" << pc.w << " k=" << pc.kernel
+        << " s=" << pc.stride;
+  }
 }
 
 // --- runner plumbing -------------------------------------------------------

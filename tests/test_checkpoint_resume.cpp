@@ -12,6 +12,7 @@
 #include "fl/fault.hpp"
 #include "fl/flat_utils.hpp"
 #include "fl/runner.hpp"
+#include "fl/server_opt.hpp"
 
 namespace spatl::fl {
 namespace {
@@ -53,6 +54,15 @@ std::unique_ptr<FederatedAlgorithm> make_algorithm(const std::string& name,
     sopts.agent_finetune_rounds = 1;
     sopts.agent_finetune_episodes = 1;
     return std::make_unique<core::SpatlAlgorithm>(env, small_config(), sopts);
+  }
+  if (name == "fedavgm" || name == "fedadam") {
+    // The CLI's server-optimizer settings.
+    ServerOptConfig sopt;
+    sopt.optimizer = name == "fedavgm" ? ServerOptimizer::kMomentum
+                                       : ServerOptimizer::kAdam;
+    sopt.lr = name == "fedadam" ? 0.1 : 0.5;
+    sopt.momentum = 0.5;
+    return std::make_unique<ServerOptFedAvg>(env, small_config(), sopt);
   }
   return make_baseline(name, env, small_config());
 }
@@ -220,7 +230,8 @@ TEST_P(ResumeBitIdentity, ResumedRunMatchesStraightThrough) {
 
 INSTANTIATE_TEST_SUITE_P(Algorithms, ResumeBitIdentity,
                          ::testing::Values("fedavg", "fedprox", "fednova",
-                                           "scaffold", "spatl"));
+                                           "scaffold", "spatl", "fedavgm",
+                                           "fedadam"));
 
 TEST(CheckpointResume, FileBackedCheckpointResumesIdentically) {
   const auto source = small_source();

@@ -21,6 +21,7 @@
 #include <memory>
 #include <string>
 
+#include "cli_flags.hpp"
 #include "common/flags.hpp"
 #include "common/log.hpp"
 #include "common/units.hpp"
@@ -546,6 +547,9 @@ int main(int argc, char** argv) {
   common::set_log_level(common::LogLevel::kWarn);
   try {
     common::Flags flags(argc, argv, 2);
+    const auto known = cli::subcommand_flags().find(cmd);
+    if (known == cli::subcommand_flags().end()) return usage();
+    flags.check_known(known->second);
     // Backend selection applies to every subcommand: evaluate/prune/info run
     // the same GEMM kernels as training. train additionally records it in
     // RunOptions so the runner re-pins it before the round loop.
