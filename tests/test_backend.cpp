@@ -20,8 +20,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -35,6 +37,7 @@
 #include "nn/layers.hpp"
 #include "nn/module.hpp"
 #include "nn/pool.hpp"
+#include "nn/sequential.hpp"
 #include "tensor/backend.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/tensor.hpp"
@@ -787,6 +790,184 @@ TEST(ConvDataPath, MaxPoolMatchesNaiveLoops) {
     EXPECT_TRUE(bit_identical(dx.storage(), want_dx.storage()))
         << "h=" << pc.h << " w=" << pc.w << " k=" << pc.kernel
         << " s=" << pc.stride;
+  }
+}
+
+// --- (f) conv layer known answers ------------------------------------------
+//
+// CRC-32s of whole Conv2d and BasicBlock forward/backward passes on both
+// backends, recorded from the conv data path that staged the forward GEMM
+// through a full-size rows tensor, scanned the im2col matrix a second time
+// for the dW elision licence and scatter-added col2im into a zeroed tensor.
+// Every rewrite of that path keeps each output element's operation order,
+// so not one bit may move on either backend.
+
+/// Where a NaN lands in a conv input: nowhere, on a pixel every window
+/// reads, or on a pixel a strided 1x1 window skips (im2col never copies it,
+/// so dW keeps its elision licence).
+enum class Poison { kNone, kRead, kSkipped };
+
+struct ConvCrcCase {
+  const char* name;
+  std::size_t batch, in_ch, out_ch, h, w, kernel, stride, pad;
+  bool bias;
+  Poison poison;
+  std::uint32_t scalar[4], simd[4];  // out, dx, dW, db (0 without bias)
+};
+
+const ConvCrcCase kConvCrcs[] = {
+    {"cnn2.conv1", 4, 1, 8, 16, 16, 5, 1, 2, true, Poison::kNone,
+     {0x7b88569cu, 0xf92b52ddu, 0xa673920au, 0x04c48cbbu},
+     {0xb826c56fu, 0x47663e78u, 0x1cbb9792u, 0x04c48cbbu}},
+    {"cnn2.conv2", 4, 8, 16, 8, 8, 5, 1, 2, true, Poison::kNone,
+     {0x13d2cd57u, 0x15c74507u, 0xf3fdfd93u, 0xf33c6cf2u},
+     {0x8bad82cdu, 0x353f6687u, 0x13abf117u, 0xf33c6cf2u}},
+    {"resnet20.3x3s1", 4, 8, 8, 16, 16, 3, 1, 1, false, Poison::kNone,
+     {0xa371e4f1u, 0xb5f3651eu, 0x09d9527au, 0x00000000u},
+     {0x5fedae8bu, 0x25c77bf5u, 0x828bdff0u, 0x00000000u}},
+    {"resnet20.3x3s2", 4, 8, 16, 16, 16, 3, 2, 1, false, Poison::kNone,
+     {0x7188806fu, 0x851129cbu, 0x4374ee6cu, 0x00000000u},
+     {0x2decdb07u, 0x1f2f75e4u, 0x6182b255u, 0x00000000u}},
+    {"resnet20.1x1s1", 4, 8, 16, 8, 8, 1, 1, 0, false, Poison::kNone,
+     {0x7e30dd8fu, 0x9dca4c30u, 0xced740afu, 0x00000000u},
+     {0x9a0d41deu, 0x78859c7fu, 0x489d944au, 0x00000000u}},
+    {"resnet20.1x1s2", 4, 16, 32, 8, 8, 1, 2, 0, false, Poison::kNone,
+     {0x329546e3u, 0xfa669cf0u, 0xea7fb930u, 0x00000000u},
+     {0xb9030a6du, 0x80311b2eu, 0x1aed9e3bu, 0x00000000u}},
+    {"vgg11.2x2", 4, 32, 64, 2, 2, 3, 1, 1, false, Poison::kNone,
+     {0xec24a173u, 0xa575d60eu, 0xa2cb08d2u, 0x00000000u},
+     {0x5696f5c9u, 0x51157f3du, 0x84260353u, 0x00000000u}},
+    {"vgg11.1x1", 4, 64, 64, 1, 1, 3, 1, 1, false, Poison::kNone,
+     {0xbc3bcb13u, 0x0f045779u, 0xa0689c18u, 0x00000000u},
+     {0x2fcf0452u, 0x1cab30c3u, 0x5e3d9e2du, 0x00000000u}},
+    {"odd.7x5", 3, 3, 5, 7, 5, 3, 1, 1, true, Poison::kNone,
+     {0xd34f6319u, 0xc6ddedd4u, 0x0ba65fcbu, 0xe308e28au},
+     {0xa2ee70cbu, 0xb8d9e867u, 0x307e4088u, 0xe308e28au}},
+    {"odd.7x9s2", 2, 4, 6, 7, 9, 3, 2, 1, false, Poison::kNone,
+     {0xf99518d6u, 0x49834a63u, 0x7e5f4f47u, 0x00000000u},
+     {0x2959ec9eu, 0x03445f74u, 0xea14603au, 0x00000000u}},
+    {"batch1", 1, 8, 8, 16, 16, 3, 1, 1, false, Poison::kNone,
+     {0x72977166u, 0x34a2b7a7u, 0x86f358d1u, 0x00000000u},
+     {0x7003f398u, 0xa0a53b55u, 0x11b741bfu, 0x00000000u}},
+    {"nan.read", 2, 4, 8, 6, 6, 3, 1, 1, true, Poison::kRead,
+     {0x743d2c22u, 0x488cf501u, 0xcb05cdd9u, 0xc6c3e3a3u},
+     {0xce865624u, 0x390edbd2u, 0xf0b488efu, 0xc6c3e3a3u}},
+    {"nan.skipped", 2, 4, 8, 6, 6, 1, 2, 0, false, Poison::kSkipped,
+     {0xb02678bbu, 0xe324718cu, 0xecbbdec9u, 0x00000000u},
+     {0x5d9d5414u, 0xd0ad0ca3u, 0x64c88a88u, 0x00000000u}},
+};
+
+/// Post-ReLU-like activations (about half zero), so dW's elision matters.
+Tensor seeded_activations(Shape shape, common::Rng& rng) {
+  Tensor t = Tensor::randn(std::move(shape), rng);
+  for (float& v : t.storage()) v = v < 0.0f ? 0.0f : v;
+  return t;
+}
+
+/// Output gradients thinned as max-pooling and ReLU thin them.
+Tensor seeded_grad(Shape shape, common::Rng& rng) {
+  Tensor t = Tensor::randn(std::move(shape), rng);
+  for (float& v : t.storage()) {
+    if (rng.uniform() < 0.6) v = 0.0f;
+  }
+  return t;
+}
+
+std::uint32_t grads_crc(nn::Module& m) {
+  const std::vector<float> g = nn::flatten_grads(m.params());
+  return fl::store::crc32(g.data(), g.size() * sizeof(float));
+}
+
+std::vector<std::uint32_t> conv_pass_crcs(const ConvCrcCase& cc) {
+  common::Rng rng(cc.batch * 1000003 + cc.in_ch * 7919 + cc.out_ch * 131 +
+                  cc.h * 17 + cc.w * 5 + cc.kernel * 3 + cc.stride);
+  nn::Conv2d conv(cc.in_ch, cc.out_ch, cc.kernel, cc.stride, cc.pad, cc.bias);
+  conv.init_params(rng);
+  std::vector<nn::ParamView> params = conv.params();
+  if (cc.bias) {
+    for (float& v : params[1].value->storage()) v = rng.normal_float(0, 0.5f);
+  }
+  Tensor x = seeded_activations({cc.batch, cc.in_ch, cc.h, cc.w}, rng);
+  if (cc.poison == Poison::kRead) x[cc.h * cc.w + cc.w + 2] = kNaN;
+  if (cc.poison == Poison::kSkipped) x[cc.w + 1] = kNaN;
+  const Tensor y = conv.forward(x, /*train=*/true);
+  const Tensor dx = conv.backward(seeded_grad(y.shape(), rng));
+  return {crc_of(y), crc_of(dx), crc_of(*params[0].grad),
+          cc.bias ? crc_of(*params[1].grad) : 0u};
+}
+
+struct BlockCrcCase {
+  const char* name;
+  std::size_t batch, in_ch, out_ch, h, w, stride;
+  std::uint32_t scalar[4], simd[4];  // out, dx, param grads, eval out
+};
+
+const BlockCrcCase kBlockCrcs[] = {
+    {"identity", 4, 8, 8, 8, 8, 1,
+     {0x96640936u, 0x82d43f8du, 0x36868fdeu, 0x888472f3u},
+     {0xf60ec4fau, 0x9ceea9d4u, 0xe5315a43u, 0xf28c9444u}},
+    {"projection", 4, 8, 16, 8, 8, 2,
+     {0x6d4377b4u, 0xbdf74b3bu, 0x1a28efbfu, 0x6c52ae36u},
+     {0x544018c4u, 0xde6ae6ceu, 0x029a178eu, 0xf8ed66b6u}},
+    {"projection.odd", 3, 4, 8, 7, 5, 2,
+     {0x7d4fcf44u, 0xb19459beu, 0x21b7727fu, 0x688e523bu},
+     {0x4344d74du, 0x07e25033u, 0x173e7386u, 0x22c8644bu}},
+};
+
+std::vector<std::uint32_t> block_pass_crcs(const BlockCrcCase& bc) {
+  common::Rng rng(bc.batch * 1000003 + bc.in_ch * 7919 + bc.out_ch * 131 +
+                  bc.h * 17 + bc.w * 5 + bc.stride);
+  nn::BasicBlock block(bc.in_ch, bc.out_ch, bc.stride);
+  block.init_params(rng);
+  const Tensor x = seeded_activations({bc.batch, bc.in_ch, bc.h, bc.w}, rng);
+  const Tensor y = block.forward(x, /*train=*/true);
+  const Tensor dx = block.backward(seeded_grad(y.shape(), rng));
+  const std::uint32_t grads = grads_crc(block);
+  const Tensor eval = block.forward(x, /*train=*/false);
+  return {crc_of(y), crc_of(dx), grads, crc_of(eval)};
+}
+
+std::string hex_list(const std::vector<std::uint32_t>& crcs) {
+  std::string out = "{";
+  char buf[16];
+  for (std::size_t i = 0; i < crcs.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "%s0x%08xu", i ? ", " : "", crcs[i]);
+    out += buf;
+  }
+  return out + "}";
+}
+
+TEST(ConvKnownAnswer, Conv2dPassesMatchRecordedBits) {
+  for (const ConvCrcCase& cc : kConvCrcs) {
+    {
+      BackendGuard guard(BackendKind::kScalar);
+      const auto got = conv_pass_crcs(cc);
+      EXPECT_EQ(got, std::vector<std::uint32_t>(cc.scalar, cc.scalar + 4))
+          << cc.name << " scalar: " << hex_list(got);
+    }
+    if (tensor::cpu_simd_supported()) {
+      BackendGuard guard(BackendKind::kCpuSimd);
+      const auto got = conv_pass_crcs(cc);
+      EXPECT_EQ(got, std::vector<std::uint32_t>(cc.simd, cc.simd + 4))
+          << cc.name << " cpu-simd: " << hex_list(got);
+    }
+  }
+}
+
+TEST(ConvKnownAnswer, BasicBlockPassesMatchRecordedBits) {
+  for (const BlockCrcCase& bc : kBlockCrcs) {
+    {
+      BackendGuard guard(BackendKind::kScalar);
+      const auto got = block_pass_crcs(bc);
+      EXPECT_EQ(got, std::vector<std::uint32_t>(bc.scalar, bc.scalar + 4))
+          << bc.name << " scalar: " << hex_list(got);
+    }
+    if (tensor::cpu_simd_supported()) {
+      BackendGuard guard(BackendKind::kCpuSimd);
+      const auto got = block_pass_crcs(bc);
+      EXPECT_EQ(got, std::vector<std::uint32_t>(bc.simd, bc.simd + 4))
+          << bc.name << " cpu-simd: " << hex_list(got);
+    }
   }
 }
 
