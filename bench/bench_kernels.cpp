@@ -26,6 +26,7 @@
 
 #include "common/flags.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "nn/conv.hpp"
 #include "tensor/backend.hpp"
@@ -100,6 +101,11 @@ int main(int argc, char** argv) {
   const auto reps = [smoke](std::uint64_t n) -> std::uint64_t {
     return smoke ? 1 : n;
   };
+
+  // Every kernel runs on the calling thread alone: the floor compares one
+  // core of each backend, which a pool sized to the host would blur.
+  spatl::common::ThreadPool serial(0);
+  spatl::common::ThreadPool::ScopedOverride one_core(serial);
 
   std::vector<Row> rows;
 

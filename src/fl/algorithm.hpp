@@ -95,6 +95,11 @@ class FederatedAlgorithm {
   /// True when this algorithm's run_round can park and replay deferred
   /// updates (the four baselines and SPATL).
   virtual bool supports_async() const { return false; }
+  /// True when run_round routes uplinks through the fault, vetting and
+  /// robust-aggregation path. run_federated refuses fault, robust and async
+  /// options for an algorithm that does not, rather than run it as if they
+  /// were absent.
+  virtual bool supports_resilience() const { return true; }
   /// Parked updates that would commit at `round` (quorum admission input).
   std::size_t buffered_due(std::size_t round) const {
     return buffer_.due_count(round);

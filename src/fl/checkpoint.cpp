@@ -86,15 +86,21 @@ tensor::NamedTensor pack_doubles(std::string name,
                                  const std::vector<double>& values) {
   std::vector<std::uint64_t> words(values.size());
   static_assert(sizeof(double) == sizeof(std::uint64_t));
-  std::memcpy(words.data(), values.data(),
-              values.size() * sizeof(std::uint64_t));
+  // An empty vector's data() may be null, and memcpy from null is undefined
+  // even for zero bytes.
+  if (!values.empty()) {
+    std::memcpy(words.data(), values.data(),
+                values.size() * sizeof(std::uint64_t));
+  }
   return pack_u64s(std::move(name), words);
 }
 
 std::vector<double> unpack_doubles(const tensor::Tensor& t) {
   const std::vector<std::uint64_t> words = unpack_u64s(t);
   std::vector<double> out(words.size());
-  std::memcpy(out.data(), words.data(), words.size() * sizeof(double));
+  if (!words.empty()) {
+    std::memcpy(out.data(), words.data(), words.size() * sizeof(double));
+  }
   return out;
 }
 

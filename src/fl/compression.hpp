@@ -54,6 +54,7 @@ class CompressedFedAvg : public FederatedAlgorithm {
     return "fedavg+" + codec_name(codec_);
   }
   void run_round(const std::vector<std::size_t>& selected) override;
+  bool supports_resilience() const override { return false; }
 
  private:
   Codec codec_;

@@ -121,6 +121,15 @@ std::vector<std::size_t> weighted_sample_without_replacement(
 
 RunResult run_federated(FederatedAlgorithm& algo, const RunOptions& opts,
                         const RoundCallback& callback) {
+  if (!algo.supports_resilience() &&
+      (opts.faults || opts.resilience ||
+       (opts.async && opts.async->enabled) || opts.escalation.enabled ||
+       opts.krum_auto_f)) {
+    throw std::invalid_argument(
+        algo.name() +
+        " does not honour fault, Byzantine, robust-aggregation or async "
+        "options");
+  }
   RunResult result;
   // Pin the compute backend before any kernel runs: every GEMM in the round
   // loop (client training, evaluation, the divergence guard's probe pass)

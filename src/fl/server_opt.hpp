@@ -31,6 +31,7 @@ class ServerOptFedAvg : public FederatedAlgorithm {
                                                          : "fedadam";
   }
   void run_round(const std::vector<std::size_t>& selected) override;
+  bool supports_resilience() const override { return false; }
   void save_state(RunCheckpoint& out) override;
   void load_state(const RunCheckpoint& in) override;
 

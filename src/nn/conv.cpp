@@ -11,39 +11,8 @@ namespace spatl::nn {
 
 namespace {
 
-// (rows=N*oh*ow, C) row-major -> (N, C, oh, ow), adding bias[c] to channel
-// c when `bias` is non-null (one add per element, so the result does not
-// depend on where the add happens).
-void rows_to_nchw(const Tensor& rows, const float* bias, std::size_t batch,
-                  std::size_t channels, std::size_t oh, std::size_t ow,
-                  Tensor& out) {
-  const tensor::Shape shape{batch, channels, oh, ow};
-  if (out.shape() != shape) out = Tensor(shape);
-  const float* src = rows.data();
-  float* dst = out.data();
-  const std::size_t hw = oh * ow;
-  common::parallel_for(
-      0, batch,
-      [&](std::size_t n) {
-        const float* src_n = src + n * hw * channels;
-        float* dst_n = dst + n * channels * hw;
-        for (std::size_t c = 0; c < channels; ++c) {
-          float* plane = dst_n + c * hw;
-          const float* col = src_n + c;
-          if (bias != nullptr) {
-            const float b = bias[c];
-            for (std::size_t p = 0; p < hw; ++p) {
-              plane[p] = col[p * channels] + b;
-            }
-          } else {
-            for (std::size_t p = 0; p < hw; ++p) plane[p] = col[p * channels];
-          }
-        }
-      },
-      1);
-}
-
-// Inverse of rows_to_nchw.
+// (N, C, oh, ow) -> (rows=N*oh*ow, C) row-major: the output gradient in
+// the layout of the forward GEMM's output.
 void nchw_to_rows(const Tensor& nchw, Tensor& rows) {
   const std::size_t batch = nchw.dim(0), channels = nchw.dim(1);
   const std::size_t hw = nchw.dim(2) * nchw.dim(3);
@@ -90,38 +59,46 @@ void Conv2d::init_params(common::Rng& rng) {
   if (has_bias_) b_.zero();
 }
 
-Tensor Conv2d::forward(const Tensor& input, bool /*train*/) {
+Tensor Conv2d::forward(const Tensor& input, bool train) {
   if (input.rank() != 4 || input.dim(1) != in_channels_) {
     throw std::invalid_argument("Conv2d: expected (N," +
                                 std::to_string(in_channels_) + ",H,W), got " +
                                 tensor::shape_to_string(input.shape()));
   }
+  const tensor::Conv2dGeom geom{in_channels_, input.dim(2), input.dim(3),
+                                kernel_,      stride_,      pad_};
+  // A training forward keeps its im2col matrix for backward, reusing the
+  // buffer from step to step. An eval forward builds its columns panel by
+  // panel inside the call and frees the training cache, so a model that
+  // only evaluates holds no column matrix.
+  cached_train_ = train;
+  if (!train) cached_cols_ = Tensor();
   cached_batch_ = input.dim(0);
-  cached_geom_ = tensor::Conv2dGeom{in_channels_, input.dim(2), input.dim(3),
-                                    kernel_,      stride_,      pad_};
-  tensor::im2col(input, cached_geom_, cached_cols_);
-  Tensor rows;
-  // The heavy lifting is one GEMM; it dispatches through the active compute
-  // backend (tensor/backend.hpp). Everything around it — im2col, the bias
-  // add, the layout shuffle — is pure data movement plus independent
-  // per-element adds, so it is backend-agnostic and bit-stable.
-  tensor::matmul_nt(cached_cols_, w_, rows);  // (rows, out)
+  cached_geom_ = geom;
   Tensor out;
-  rows_to_nchw(rows, has_bias_ ? b_.data() : nullptr, cached_batch_,
-               out_channels_, cached_geom_.out_h(), cached_geom_.out_w(), out);
+  // The GEMM dispatches through the active compute backend
+  // (tensor/backend.hpp); im2col, the bias add and the NCHW store around it
+  // are data movement plus independent per-element adds, so they are
+  // backend-agnostic and bit-stable.
+  cols_finite_ = tensor::conv2d_forward(input, geom, w_,
+                                        has_bias_ ? b_.data() : nullptr,
+                                        train ? &cached_cols_ : nullptr, out);
   return out;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_output) {
+  if (!cached_train_) {
+    throw std::logic_error("Conv2d::backward requires a train forward");
+  }
   SPATL_DCHECK_SHAPE(grad_output.shape(),
                      (tensor::Shape{cached_batch_, out_channels_,
                                     cached_geom_.out_h(),
                                     cached_geom_.out_w()}));
   Tensor grows;
   nchw_to_rows(grad_output, grows);  // (rows, out)
-  // dW += dRows^T * cols
+  // dW += dRows^T * cols, licensed by the forward's finiteness report.
   Tensor dw;
-  tensor::matmul_tn(grows, cached_cols_, dw);
+  tensor::matmul_tn(grows, cached_cols_, dw, cols_finite_);
   gw_ += dw;
   if (has_bias_) {
     const float* g = grows.data();
@@ -133,11 +110,9 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       }
     }
   }
-  // dCols = dRows * W ; dX = col2im(dCols)
-  Tensor dcols;
-  tensor::matmul(grows, w_, dcols);
+  // dX = col2im(dRows * W)
   Tensor dx;
-  tensor::col2im(dcols, cached_geom_, cached_batch_, dx);
+  tensor::conv2d_backward_data(grows, w_, cached_geom_, dx);
   return dx;
 }
 

@@ -8,7 +8,8 @@ namespace spatl::nn {
 
 /// Conv2d with square kernels, configurable stride/padding, NCHW layout.
 /// Weight is stored (out_channels, in_channels * k * k) so that forward is a
-/// single GEMM over im2col columns.
+/// single GEMM over im2col columns. Only a train forward keeps the columns;
+/// backward after an eval forward throws std::logic_error.
 class Conv2d : public Module {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
@@ -34,7 +35,9 @@ class Conv2d : public Module {
   bool has_bias_;
   Tensor w_, gw_;  // (out, in*k*k)
   Tensor b_, gb_;  // (out)
-  Tensor cached_cols_;
+  Tensor cached_cols_;       // im2col of the last train forward's input
+  bool cols_finite_ = true;  // im2col's finiteness report for cached_cols_
+  bool cached_train_ = false;
   tensor::Conv2dGeom cached_geom_;
   std::size_t cached_batch_ = 0;
 };

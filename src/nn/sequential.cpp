@@ -1,7 +1,5 @@
 #include "nn/sequential.hpp"
 
-#include <algorithm>
-
 namespace spatl::nn {
 
 Tensor Sequential::forward(const Tensor& input, bool train) {
@@ -53,32 +51,16 @@ Tensor BasicBlock::forward(const Tensor& input, bool train) {
   main = relu1_->forward(main, train);
   main = conv2_->forward(main, train);
   main = bn2_->forward(main, train);
-
-  Tensor skip;
   if (proj_conv_) {
-    skip = proj_conv_->forward(input, train);
-    skip = proj_bn_->forward(skip, train);
+    main += proj_bn_->forward(proj_conv_->forward(input, train), train);
   } else {
-    skip = input;
+    main += input;
   }
-  main += skip;
-  cached_preact_ = main;
-  // Final ReLU applied in place; backward re-derives the mask from the
-  // cached pre-activation.
-  Tensor out = main;
-  for (auto& v : out.storage()) v = std::max(v, 0.0f);
-  return out;
+  return relu2_.forward(main, train);
 }
 
 Tensor BasicBlock::backward(const Tensor& grad_output) {
-  Tensor g = grad_output;
-  {
-    const float* pre = cached_preact_.data();
-    float* gp = g.data();
-    for (std::size_t i = 0; i < g.numel(); ++i) {
-      if (pre[i] <= 0.0f) gp[i] = 0.0f;
-    }
-  }
+  const Tensor g = relu2_.backward(grad_output);
   // g flows into both the main branch and the skip branch.
   Tensor gmain = bn2_->backward(g);
   gmain = conv2_->backward(gmain);
@@ -88,9 +70,7 @@ Tensor BasicBlock::backward(const Tensor& grad_output) {
   Tensor dx = conv1_->backward(gmain);
 
   if (proj_conv_) {
-    Tensor gskip = proj_bn_->backward(g);
-    gskip = proj_conv_->backward(gskip);
-    dx += gskip;
+    dx += proj_conv_->backward(proj_bn_->backward(g));
   } else {
     dx += g;
   }

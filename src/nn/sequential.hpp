@@ -82,7 +82,7 @@ class BasicBlock : public Module {
   std::shared_ptr<ReLU> relu1_;
   std::shared_ptr<Conv2d> proj_conv_;    // nullptr for identity skip
   std::shared_ptr<BatchNorm2d> proj_bn_;
-  Tensor cached_preact_;  // main + skip before the final ReLU
+  ReLU relu2_;  // the output ReLU over main + skip
 };
 
 }  // namespace spatl::nn

@@ -1,9 +1,11 @@
 // ComputeContext: the pluggable compute-backend seam under the GEMM family.
 //
-// The public matmul/matmul_tn/matmul_nt entry points in ops.hpp keep all
-// shape validation, the finiteness pre-scan of B, and the parallel_for row
-// partitioning (the fixed-chunk contract of common/parallel.hpp), and hand
-// each row panel to the active ComputeContext. Backends therefore differ
+// The public matmul/matmul_tn/matmul_nt entry points in ops.hpp, and the
+// conv entry points that run those GEMMs inside their own data movement
+// (conv2d_forward, conv2d_backward_data), keep all shape validation, the
+// finiteness pre-scan of B, and the parallel_for row partitioning (the
+// fixed-chunk contract of common/parallel.hpp), and hand each row panel to
+// the active ComputeContext. Backends therefore differ
 // only in how a panel is computed, never in which rows land in which chunk,
 // so every backend is individually bit-identical across 1/2/N-thread pools.
 //

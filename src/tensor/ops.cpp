@@ -1,10 +1,12 @@
 #include "tensor/ops.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/parallel.hpp"
@@ -30,49 +32,51 @@ std::size_t gemm_grain(std::size_t m, std::size_t k, std::size_t n) {
   return (rows + kGemmRowTile - 1) / kGemmRowTile * kGemmRowTile;
 }
 
-/// Kernel taps [lo, hi) whose input coordinate x0 + tap lies inside
-/// [0, extent); the others read zero padding.
+/// A half-open index range [lo, hi).
 struct InsideSpan {
   std::size_t lo, hi;
 };
 
-InsideSpan inside_span(std::ptrdiff_t x0, std::size_t extent,
-                       std::size_t kernel) {
-  const auto k = std::ptrdiff_t(kernel);
-  const std::ptrdiff_t lo = std::clamp<std::ptrdiff_t>(-x0, 0, k);
-  const std::ptrdiff_t hi =
-      std::clamp<std::ptrdiff_t>(std::ptrdiff_t(extent) - x0, lo, k);
-  return {std::size_t(lo), std::size_t(hi)};
+// A float is non-finite exactly when its exponent field is all ones, and
+// then (bits & 0x7f800000) + 0x00800000 carries into bit 31. OR-ing that
+// over a fixed-size block is branch-free and vectorizes.
+constexpr std::uint32_t kSignBit = 0x80000000u;
+
+inline std::uint32_t exponent_carry_of(const float* p) {
+  std::uint32_t bits;
+  std::memcpy(&bits, p, sizeof(bits));
+  return (bits & 0x7f800000u) + 0x00800000u;
+}
+
+template <std::size_t N>
+std::uint32_t exponent_carry_block(const float* p) {
+  std::uint32_t flags = 0;
+  for (std::size_t j = 0; j < N; ++j) flags |= exponent_carry_of(p + j);
+  return flags;
+}
+
+/// The carry flags of `count` floats: bit 31 is set exactly when one of
+/// them is NaN or +/-Inf.
+std::uint32_t exponent_carry(const float* p, std::size_t count) {
+  constexpr std::size_t kBlock = 64;
+  std::uint32_t flags = 0;
+  std::size_t i = 0;
+  for (; i + kBlock <= count; i += kBlock) {
+    flags |= exponent_carry_block<kBlock>(p + i);
+  }
+  for (; i < count; ++i) flags |= exponent_carry_of(p + i);
+  return flags;
 }
 
 }  // namespace
 
 bool all_finite(const float* p, std::size_t count) {
-  // A float is non-finite exactly when its exponent field is all ones, and
-  // then (bits & 0x7f800000) + 0x00800000 carries into bit 31. OR-ing that
-  // over a fixed-size block is branch-free and vectorizes; the early exit
-  // is taken between blocks.
   constexpr std::size_t kBlock = 1024;
-  constexpr std::uint32_t kExponent = 0x7f800000u;
-  constexpr std::uint32_t kCarry = 0x00800000u;
-  constexpr std::uint32_t kSign = 0x80000000u;
-  std::uint32_t flags = 0;
   std::size_t i = 0;
   for (; i + kBlock <= count; i += kBlock) {
-    const float* block = p + i;
-    for (std::size_t j = 0; j < kBlock; ++j) {
-      std::uint32_t bits;
-      std::memcpy(&bits, block + j, sizeof(bits));
-      flags |= (bits & kExponent) + kCarry;
-    }
-    if ((flags & kSign) != 0) return false;
+    if ((exponent_carry_block<kBlock>(p + i) & kSignBit) != 0) return false;
   }
-  for (; i < count; ++i) {
-    std::uint32_t bits;
-    std::memcpy(&bits, p + i, sizeof(bits));
-    flags |= (bits & kExponent) + kCarry;
-  }
-  return (flags & kSign) == 0;
+  return (exponent_carry(p + i, count - i) & kSignBit) == 0;
 }
 
 void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -101,6 +105,11 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
 }
 
 void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c) {
+  require(b.rank() == 2, "matmul_tn: inputs must be rank-2");
+  matmul_tn(a, b, c, all_finite(b.data(), b.numel()));
+}
+
+void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c, bool b_finite) {
   require(a.rank() == 2 && b.rank() == 2, "matmul_tn: inputs must be rank-2");
   const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
   require(b.dim(0) == k, "matmul_tn: inner dimensions differ");
@@ -109,7 +118,7 @@ void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c) {
   const float* pb = b.data();
   float* pc = c.data();
   SPATL_DCHECK(pc != pa && pc != pb);
-  const bool b_finite = all_finite(pb, k * n);
+  SPATL_DCHECK(b_finite == all_finite(pb, k * n));
   const ComputeContext& ctx = active_context();
   common::parallel_for_ranges(
       0, m,
@@ -145,146 +154,491 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 
 namespace {
 
-/// im2col rows [lo, hi). K is the kernel size when known at compile time
-/// (the common 1/3/5), so every per-tap loop has a constant trip count and
-/// unrolls into plain loads and stores; K == 0 reads it from `g`.
+/// Per-thread scratch that only grows (padded inputs, column panels, the
+/// epilogue buffer, the column gradient), so steady-state calls allocate
+/// nothing.
+float* thread_scratch(std::vector<float>& buf, std::size_t count) {
+  if (buf.size() < count) buf.resize(count);
+  return buf.data();
+}
+
+void require_geometry(const Tensor& input, const Conv2dGeom& g,
+                      const char* msg) {
+  require(input.rank() == 4 && input.dim(1) == g.in_channels &&
+              input.dim(2) == g.in_h && input.dim(3) == g.in_w,
+          msg);
+}
+
+/// Output positions [lo, hi) along one axis whose window reads input
+/// coordinate `i`: o * stride + tap == i + pad with 0 <= tap < kernel and
+/// 0 <= o < extent. Ascending o means descending tap.
+InsideSpan taps_reading(std::size_t i, std::size_t extent,
+                        const Conv2dGeom& g) {
+  const std::size_t top = i + g.pad;  // o * stride + tap
+  const std::size_t lo =
+      top + 1 >= g.kernel ? (top + 1 - g.kernel + g.stride - 1) / g.stride : 0;
+  const std::size_t hi = std::min(extent, top / g.stride + 1);
+  return {std::min(lo, hi), hi};
+}
+
+/// Kernel taps [lo, hi) of a window starting at input coordinate x0 that
+/// land inside [0, extent); the others read zero padding.
+InsideSpan taps_inside(std::ptrdiff_t x0, std::size_t extent,
+                       std::size_t kernel) {
+  const auto k = std::ptrdiff_t(kernel);
+  const std::ptrdiff_t lo = std::clamp<std::ptrdiff_t>(-x0, 0, k);
+  const std::ptrdiff_t hi =
+      std::clamp<std::ptrdiff_t>(std::ptrdiff_t(extent) - x0, lo, k);
+  return {std::size_t(lo), std::size_t(hi)};
+}
+
+/// With `kernel >= stride` consecutive windows leave no gap, so the input
+/// coordinates they read along one axis are a prefix [0, end).
+std::size_t read_end(std::size_t extent, std::size_t out,
+                     const Conv2dGeom& g) {
+  const std::size_t reach = out == 0 ? 0 : (out - 1) * g.stride + g.kernel;
+  return std::min(extent, reach > g.pad ? reach - g.pad : 0);
+}
+
+/// Whether every input pixel some window reads is finite (kernel >= stride).
+/// The columns hold exactly those pixels plus zeros, so this is the
+/// columns' finiteness at 1/k^2 of their size.
+bool read_pixels_finite(const Tensor& input, const Conv2dGeom& g) {
+  const std::size_t h = g.in_h, w = g.in_w;
+  const std::size_t rows = read_end(h, g.out_h(), g);
+  const std::size_t cols = read_end(w, g.out_w(), g);
+  // Usually every pixel is read and the planes form one contiguous run.
+  const bool whole = rows == h && cols == w;
+  const std::size_t run = whole ? input.numel() : cols;
+  const std::size_t runs = whole ? 1 : input.dim(0) * g.in_channels * rows;
+  const float* in = input.data();
+  std::atomic<bool> finite{true};
+  common::parallel_for_ranges(
+      0, runs,
+      [&](std::size_t lo, std::size_t hi) {
+        std::uint32_t flags = 0;
+        for (std::size_t i = lo; i < hi; ++i) {
+          const float* at = whole ? in : in + (i / rows * h + i % rows) * w;
+          flags |= exponent_carry(at, run);
+        }
+        if ((flags & kSignBit) != 0) {
+          finite.store(false, std::memory_order_relaxed);
+        }
+      },
+      std::max<std::size_t>(1, 4096 / std::max<std::size_t>(1, run)));
+  return finite.load(std::memory_order_relaxed);
+}
+
+/// One column-matrix row whose window lies inside the image: for every
+/// channel and kernel row, the K floats starting at `win` + c * plane +
+/// ky * in_w. Every run but the last is copied as whole vectors of
+/// kSpill >= K floats: the spill lands where the next run goes, and the
+/// source has floats after the run (the next image row or plane).
 template <std::size_t K>
-void im2col_rows(const float* in, float* out, const Conv2dGeom& g,
+inline float* im2col_inside(const float* win, float* d, std::size_t channels,
+                            std::size_t plane, std::size_t width) {
+  constexpr std::size_t kSpill = K == 3 ? 4 : K == 5 ? 8 : K;
+  for (std::size_t c = 0; c < channels; ++c, win += plane) {
+    const float* run = win;
+    const bool last_channel = c + 1 == channels;
+#pragma GCC unroll 8
+    for (std::size_t ky = 0; ky < K; ++ky, run += width, d += K) {
+      if (last_channel && ky + 1 == K) {
+        std::memcpy(d, run, K * sizeof(float));
+      } else {
+        std::memcpy(d, run, kSpill * sizeof(float));
+      }
+    }
+  }
+  return d;
+}
+
+/// One column-matrix row whose window at (iy0, ix0) crosses the border:
+/// kernel rows outside `ys` and taps outside [0, width) read zero.
+template <std::size_t K>
+inline float* im2col_border(const float* src_n, float* d, std::size_t kernel,
+                            std::size_t channels, std::size_t height,
+                            std::size_t width, std::ptrdiff_t iy0,
+                            InsideSpan ys, std::ptrdiff_t ix0) {
+  if (K != 0) kernel = K;
+  const std::size_t plane = height * width;
+  const InsideSpan xs = taps_inside(ix0, width, kernel);
+  const bool x_inside = xs.lo == 0 && xs.hi == kernel;
+  for (std::size_t c = 0; c < channels; ++c, src_n += plane) {
+    for (std::size_t ky = 0; ky < kernel; ++ky, d += kernel) {
+      if (ky < ys.lo || ky >= ys.hi) {
+#pragma GCC unroll 8
+        for (std::size_t kx = 0; kx < kernel; ++kx) d[kx] = 0.0f;
+        continue;
+      }
+      const float* row = src_n + std::size_t(iy0 + std::ptrdiff_t(ky)) * width;
+      if (x_inside) {
+        std::memcpy(d, row + ix0, kernel * sizeof(float));
+        continue;
+      }
+      // Read a clamped in-range tap, keep it only inside.
+#pragma GCC unroll 8
+      for (std::size_t kx = 0; kx < kernel; ++kx) {
+        const bool inside = kx >= xs.lo && kx < xs.hi;
+        const std::ptrdiff_t ix = std::clamp<std::ptrdiff_t>(
+            ix0 + std::ptrdiff_t(kx), 0, std::ptrdiff_t(width) - 1);
+        d[kx] = inside ? row[ix] : 0.0f;
+      }
+    }
+  }
+  return d;
+}
+
+/// What im2col reads: the input itself, or a copy of it with `pad` zeros
+/// around every plane, so that every window lies inside (then pad == 0).
+struct ConvSource {
+  const float* data;
+  std::size_t h, w, pad;
+};
+
+/// The source for `input`. Stride-1 windows over planes of 16 or more
+/// pixels read a zero-padded copy: the copy costs about 1/k^2 of the
+/// columns and spares every border window its bounds tests. Strided
+/// windows (the copy then costs up to 4/9 of the columns) and smaller
+/// planes (per-row copy overhead) read the input directly.
+ConvSource conv_source(const Tensor& input, const Conv2dGeom& g,
+                       std::vector<float>& scratch) {
+  const std::size_t h = g.in_h, w = g.in_w, p = g.pad;
+  if (p == 0 || g.stride != 1 || h * w < 16) return {input.data(), h, w, p};
+  const std::size_t ph = h + 2 * p, pw = w + 2 * p;
+  const std::size_t planes = input.dim(0) * g.in_channels;
+  float* out = thread_scratch(scratch, planes * ph * pw);
+  const float* in = input.data();
+  common::parallel_for_ranges(
+      0, planes,
+      [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t pl = lo; pl < hi; ++pl) {
+          const float* plane = in + pl * h * w;
+          float* dst = out + pl * ph * pw;
+          std::fill(dst, dst + p * pw, 0.0f);
+          dst += p * pw;
+          for (std::size_t y = 0; y < h; ++y, dst += pw) {
+            std::fill(dst, dst + p, 0.0f);
+            std::memcpy(dst + p, plane + y * w, w * sizeof(float));
+            std::fill(dst + p + w, dst + pw, 0.0f);
+          }
+          std::fill(dst, dst + p * pw, 0.0f);
+        }
+      },
+      std::max<std::size_t>(1, 4096 / (ph * pw)));
+  return {out, ph, pw, 0};
+}
+
+/// Rows [lo, hi) of the column matrix into `dst` (row lo first), one
+/// output line at a time: the line's vertical taps are worked out once, and
+/// windows inside the source copy fixed-size runs with no bounds test. K is
+/// the kernel size when known at compile time (the common 1/3/5); K == 0
+/// reads it from `g` and takes the bounds-tested path throughout.
+template <std::size_t K>
+void im2col_rows(const ConvSource& src, float* dst, const Conv2dGeom& g,
                  std::size_t lo, std::size_t hi) {
   const std::size_t kernel = K != 0 ? K : g.kernel;
   const std::size_t oh = g.out_h(), ow = g.out_w();
-  const std::size_t hw = g.in_h * g.in_w;
-  const std::size_t cols = g.patch_size();
-  for (std::size_t r = lo; r < hi; ++r) {
-    const std::size_t n = r / (oh * ow);
-    const std::size_t rem = r % (oh * ow);
+  const std::size_t plane = src.h * src.w;
+  // Output columns [x_lo, x_hi) have windows inside horizontally.
+  const std::size_t x_lo =
+      K == 0 ? ow : std::min(ow, (src.pad + g.stride - 1) / g.stride);
+  const std::size_t x_hi =
+      K == 0 || src.w + src.pad < kernel
+          ? x_lo
+          : std::clamp((src.w + src.pad - kernel) / g.stride + 1, x_lo, ow);
+  for (std::size_t r = lo; r < hi;) {
+    const std::size_t line = r / ow;
+    const std::size_t ox_begin = r % ow;
+    const std::size_t ox_end = std::min(ow, ox_begin + (hi - r));
+    const float* src_n = src.data + line / oh * g.in_channels * plane;
     const std::ptrdiff_t iy0 =
-        std::ptrdiff_t(rem / ow * g.stride) - std::ptrdiff_t(g.pad);
-    const std::ptrdiff_t ix0 =
-        std::ptrdiff_t(rem % ow * g.stride) - std::ptrdiff_t(g.pad);
-    const InsideSpan ys = inside_span(iy0, g.in_h, kernel);
-    const InsideSpan xs = inside_span(ix0, g.in_w, kernel);
-    const bool x_inside = xs.lo == 0 && xs.hi == kernel;
-    float* dst = out + r * cols;
-    const float* src_n = in + n * g.in_channels * hw;
-    for (std::size_t c = 0; c < g.in_channels; ++c) {
-      for (std::size_t ky = 0; ky < kernel; ++ky, dst += kernel) {
-        if (ky < ys.lo || ky >= ys.hi) {
-#pragma GCC unroll 8
-          for (std::size_t kx = 0; kx < kernel; ++kx) dst[kx] = 0.0f;
-          continue;
+        std::ptrdiff_t(line % oh * g.stride) - std::ptrdiff_t(src.pad);
+    const InsideSpan ys = taps_inside(iy0, src.h, kernel);
+    const bool y_inside = ys.lo == 0 && ys.hi == kernel;
+    float* d = dst + (r - lo) * g.patch_size();
+    for (std::size_t ox = ox_begin; ox < ox_end; ++ox) {
+      const std::ptrdiff_t ix0 =
+          std::ptrdiff_t(ox * g.stride) - std::ptrdiff_t(src.pad);
+      if (y_inside && ox >= x_lo && ox < x_hi) {
+        d = im2col_inside<K>(src_n + std::size_t(iy0) * src.w +
+                                 std::size_t(ix0),
+                             d, g.in_channels, plane, src.w);
+      } else {
+        d = im2col_border<K>(src_n, d, kernel, g.in_channels, src.h, src.w,
+                             iy0, ys, ix0);
+      }
+    }
+    r += ox_end - ox_begin;
+  }
+}
+
+void im2col_dispatch(const ConvSource& src, float* dst, const Conv2dGeom& g,
+                     std::size_t lo, std::size_t hi) {
+  switch (g.kernel) {
+    case 1: im2col_rows<1>(src, dst, g, lo, hi); break;
+    case 3: im2col_rows<3>(src, dst, g, lo, hi); break;
+    case 5: im2col_rows<5>(src, dst, g, lo, hi); break;
+    default: im2col_rows<0>(src, dst, g, lo, hi); break;
+  }
+}
+
+/// One pixel of every channel: dst[c * plane] = sum over t < n, from +0 and
+/// in order, of base[taps[t] + c * kk]. N == n when known at compile time
+/// (the loop unrolls); N == 0 reads n.
+template <std::size_t N>
+inline void sum_taps(const float* base, const std::ptrdiff_t* taps,
+                     std::size_t n, std::size_t channels, std::size_t kk,
+                     float* dst, std::size_t plane) {
+  if (N != 0) n = N;
+  for (std::size_t c = 0; c < channels; ++c, base += kk, dst += plane) {
+    float acc = 0.0f;
+#pragma GCC unroll 32
+    for (std::size_t t = 0; t < n; ++t) acc += base[taps[t]];
+    *dst = acc;
+  }
+}
+
+/// col2im over one image as a gather: every input pixel of every channel
+/// sums its taps from +0 in (oy, ox)-ascending order (the order the
+/// recorded conv CRCs fix) and is stored once. The
+/// pixel loop is outermost: a pixel's taps sit at the same offsets in every
+/// channel's part of the column rows, so they are found once and then
+/// summed channel by channel, walking each column row forward. A stride-1
+/// window that lies inside the output grid has all K*K taps at fixed
+/// offsets (`inside`, K*K entries, K known at compile time), which unroll.
+template <std::size_t K>
+void col2im_image(const float* col, float* dst_n, const Conv2dGeom& g,
+                  const std::ptrdiff_t* inside, const InsideSpan* y_spans,
+                  const InsideSpan* x_spans) {
+  const std::size_t kernel = K != 0 ? K : g.kernel, kk = kernel * kernel;
+  const std::size_t stride = g.stride, pad = g.pad;
+  const std::size_t ow = g.out_w(), cols = g.patch_size();
+  const std::size_t channels = g.in_channels, plane = g.in_h * g.in_w;
+  // At least 4 entries, so the fixed-count cases below stay in bounds.
+  std::vector<std::ptrdiff_t> taps(std::max<std::size_t>(kk, 4));
+  for (std::size_t iy = 0; iy < g.in_h; ++iy) {
+    const InsideSpan ys = y_spans[iy];
+    for (std::size_t ix = 0; ix < g.in_w; ++ix) {
+      const InsideSpan xs = x_spans[ix];
+      float* dst = dst_n + iy * g.in_w + ix;
+      if (K != 0 && stride == 1 && ys.hi - ys.lo == K && xs.hi - xs.lo == K) {
+        // Tap (0, 0) is output row (iy + pad, ix + pad).
+        sum_taps<K * K>(col + ((iy + pad) * ow + ix + pad) * cols, inside,
+                        K * K, channels, kk, dst, plane);
+        continue;
+      }
+      std::size_t n = 0;
+      for (std::size_t oy = ys.lo; oy < ys.hi; ++oy) {
+        const std::size_t ky = iy + pad - oy * stride;
+        for (std::size_t ox = xs.lo; ox < xs.hi; ++ox) {
+          const std::size_t kx = ix + pad - ox * stride;
+          taps[n++] = std::ptrdiff_t((oy * ow + ox) * cols + ky * kernel + kx);
         }
-        const float* src = src_n + c * hw +
-                           std::size_t(iy0 + std::ptrdiff_t(ky)) * g.in_w;
-        if (x_inside) {
-          const float* run = src + ix0;  // ix0 >= 0 when x_inside
-#pragma GCC unroll 8
-          for (std::size_t kx = 0; kx < kernel; ++kx) dst[kx] = run[kx];
-          continue;
-        }
-        // Border: read a clamped in-range tap, keep it only inside.
-#pragma GCC unroll 8
-        for (std::size_t kx = 0; kx < kernel; ++kx) {
-          const bool inside = kx >= xs.lo && kx < xs.hi;
-          const std::ptrdiff_t ix = std::clamp<std::ptrdiff_t>(
-              ix0 + std::ptrdiff_t(kx), 0, std::ptrdiff_t(g.in_w) - 1);
-          dst[kx] = inside ? src[ix] : 0.0f;
-        }
+      }
+      const std::ptrdiff_t* t = taps.data();
+      switch (n) {  // the counts strided windows produce, unrolled
+        case 1: sum_taps<1>(col, t, n, channels, kk, dst, plane); break;
+        case 2: sum_taps<2>(col, t, n, channels, kk, dst, plane); break;
+        case 4: sum_taps<4>(col, t, n, channels, kk, dst, plane); break;
+        default: sum_taps<0>(col, t, n, channels, kk, dst, plane); break;
       }
     }
   }
 }
 
-/// col2im over one image. Each input pixel receives at most one term per
-/// (oy, ox), so walking (oy, ox) in ascending order fixes every pixel's
-/// summation order. K as in im2col_rows.
-template <std::size_t K>
-void col2im_image(const float* col, float* dst_n, const Conv2dGeom& g) {
-  const std::size_t kernel = K != 0 ? K : g.kernel;
-  const std::size_t oh = g.out_h(), ow = g.out_w();
-  const std::size_t hw = g.in_h * g.in_w;
-  for (std::size_t oy = 0; oy < oh; ++oy) {
-    const std::ptrdiff_t iy0 =
-        std::ptrdiff_t(oy * g.stride) - std::ptrdiff_t(g.pad);
-    const InsideSpan ys = inside_span(iy0, g.in_h, kernel);
-    for (std::size_t ox = 0; ox < ow; ++ox, col += g.patch_size()) {
-      const std::ptrdiff_t ix0 =
-          std::ptrdiff_t(ox * g.stride) - std::ptrdiff_t(g.pad);
-      const InsideSpan xs = inside_span(ix0, g.in_w, kernel);
-      const bool x_inside = xs.lo == 0 && xs.hi == kernel;
-      for (std::size_t c = 0; c < g.in_channels; ++c) {
-        for (std::size_t ky = ys.lo; ky < ys.hi; ++ky) {
-          const float* tap = col + (c * kernel + ky) * kernel;
-          float* dst = dst_n + c * hw +
-                       std::size_t(iy0 + std::ptrdiff_t(ky)) * g.in_w;
-          if (x_inside) {
-            float* run = dst + ix0;  // ix0 >= 0 when x_inside
-#pragma GCC unroll 8
-            for (std::size_t kx = 0; kx < kernel; ++kx) run[kx] += tap[kx];
-            continue;
-          }
-          for (std::size_t kx = xs.lo; kx < xs.hi; ++kx) {
-            dst[std::size_t(ix0 + std::ptrdiff_t(kx))] += tap[kx];
-          }
-        }
+/// Rows per step of conv2d_forward's epilogue: the GEMM output of one step
+/// fits a buffer of about this many floats (8 KB), so it is still in L1
+/// when it is transposed to NCHW.
+constexpr std::size_t kEpilogueFloats = 2048;
+
+/// Stores rows [r0, r1) of a (rows, n) GEMM output held in `buf` to the
+/// NCHW tensor `out` (hw pixels per image), adding bias[c] to channel c
+/// when `bias` is non-null: one add per element, so where it happens does
+/// not change the result.
+void store_nchw(const float* buf, std::size_t r0, std::size_t r1,
+                std::size_t n, std::size_t hw, const float* bias,
+                float* out) {
+  for (std::size_t r = r0; r < r1;) {
+    const std::size_t img = r / hw, p0 = r % hw;
+    const std::size_t run = std::min(r1 - r, hw - p0);
+    const float* src = buf + (r - r0) * n;
+    float* dst = out + img * n * hw + p0;
+    for (std::size_t c = 0; c < n; ++c) {
+      float* plane = dst + c * hw;
+      const float* col = src + c;
+      if (bias != nullptr) {
+        const float b = bias[c];
+        for (std::size_t q = 0; q < run; ++q) plane[q] = col[q * n] + b;
+      } else {
+        for (std::size_t q = 0; q < run; ++q) plane[q] = col[q * n];
       }
     }
+    r += run;
   }
 }
 
 }  // namespace
 
-void im2col(const Tensor& input, const Conv2dGeom& g, Tensor& columns) {
-  require(input.rank() == 4, "im2col: input must be (N,C,H,W)");
-  const std::size_t batch = input.dim(0);
-  require(input.dim(1) == g.in_channels && input.dim(2) == g.in_h &&
-              input.dim(3) == g.in_w,
-          "im2col: input shape does not match geometry");
-  const std::size_t rows = batch * g.out_h() * g.out_w();
+bool im2col(const Tensor& input, const Conv2dGeom& g, Tensor& columns) {
+  require_geometry(input, g, "im2col: input shape does not match geometry");
+  const std::size_t rows = input.dim(0) * g.out_h() * g.out_w();
   const std::size_t cols = g.patch_size();
   if (columns.shape() != Shape{rows, cols}) columns = Tensor({rows, cols});
-  const float* in = input.data();
+  // Windows that skip pixels (kernel < stride) get their columns scanned
+  // instead of the input.
+  const bool scan_input = g.kernel >= g.stride;
+  std::atomic<bool> finite{!scan_input || read_pixels_finite(input, g)};
+  thread_local std::vector<float> padded;
+  const ConvSource src = conv_source(input, g, padded);
   float* out = columns.data();
   common::parallel_for_ranges(
       0, rows,
       [&](std::size_t lo, std::size_t hi) {
-        switch (g.kernel) {
-          case 1: im2col_rows<1>(in, out, g, lo, hi); break;
-          case 3: im2col_rows<3>(in, out, g, lo, hi); break;
-          case 5: im2col_rows<5>(in, out, g, lo, hi); break;
-          default: im2col_rows<0>(in, out, g, lo, hi); break;
+        im2col_dispatch(src, out + lo * cols, g, lo, hi);
+        if (!scan_input &&
+            (exponent_carry(out + lo * cols, (hi - lo) * cols) & kSignBit)) {
+          finite.store(false, std::memory_order_relaxed);
         }
       },
       std::max<std::size_t>(1, 4096 / std::max<std::size_t>(1, cols)));
+  return finite.load(std::memory_order_relaxed);
 }
 
-void col2im(const Tensor& columns, const Conv2dGeom& g, std::size_t batch,
-            Tensor& input_grad) {
+bool conv2d_forward(const Tensor& input, const Conv2dGeom& g, const Tensor& w,
+                    const float* bias, Tensor* columns, Tensor& out) {
+  require_geometry(input, g,
+                   "conv2d_forward: input shape does not match geometry");
+  const std::size_t k = g.patch_size();
+  require(w.rank() == 2 && w.dim(1) == k,
+          "conv2d_forward: weight must be (out, C*k*k)");
+  const std::size_t oh = g.out_h(), ow = g.out_w(), hw = oh * ow;
+  const std::size_t m = input.dim(0) * hw, n = w.dim(0);
+  const Shape out_shape{input.dim(0), n, oh, ow};
+  if (out.shape() != out_shape) out = Tensor(out_shape);
+  if (columns != nullptr && columns->shape() != Shape{m, k}) {
+    *columns = Tensor({m, k});
+  }
+  // The finiteness report as in im2col, wanted only with kept columns.
+  const bool scan_input = columns != nullptr && g.kernel >= g.stride;
+  const bool scan_cols = columns != nullptr && g.kernel < g.stride;
+  std::atomic<bool> finite{!scan_input || read_pixels_finite(input, g)};
+  thread_local std::vector<float> padded;
+  const ConvSource src = conv_source(input, g, padded);
+  const float* pw = w.data();
+  float* pout = out.data();
+  float* pcols = columns != nullptr ? columns->data() : nullptr;
+  SPATL_DCHECK(pout != input.data() && pout != pw);
+  const ComputeContext& ctx = active_context();
+  const std::size_t step = std::max(
+      kGemmRowTile,
+      kEpilogueFloats / std::max<std::size_t>(1, n) / kGemmRowTile *
+          kGemmRowTile);
+  common::parallel_for_ranges(
+      0, m,
+      [&](std::size_t lo, std::size_t hi) {
+        thread_local std::vector<float> panel_scratch, gemm_scratch;
+        float* gemm_out = thread_scratch(gemm_scratch, step * n);
+        std::uint32_t flags = 0;
+        for (std::size_t r0 = lo; r0 < hi; r0 += step) {
+          const std::size_t r1 = std::min(hi, r0 + step);
+          float* panel = pcols != nullptr ? pcols + r0 * k
+                                          : thread_scratch(panel_scratch,
+                                                           step * k);
+          im2col_dispatch(src, panel, g, r0, r1);
+          if (scan_cols) flags |= exponent_carry(panel, (r1 - r0) * k);
+          ctx.gemm_nt(panel, pw, gemm_out, 0, r1 - r0, k, n);
+          store_nchw(gemm_out, r0, r1, n, hw, bias, pout);
+        }
+        if ((flags & kSignBit) != 0) {
+          finite.store(false, std::memory_order_relaxed);
+        }
+      },
+      gemm_grain(m, k, n));
+  return finite.load(std::memory_order_relaxed);
+}
+
+namespace {
+
+/// col2im of the (batch * out_h * out_w, patch) matrix at `src` into
+/// `input_grad`, which has the input's shape.
+void col2im_rows(const float* src, const Conv2dGeom& g, std::size_t batch,
+                 float* out) {
   const std::size_t oh = g.out_h(), ow = g.out_w();
-  const std::size_t rows = batch * oh * ow;
   const std::size_t cols = g.patch_size();
-  require(columns.shape() == Shape{rows, cols},
-          "col2im: column shape mismatch");
-  const Shape in_shape{batch, g.in_channels, g.in_h, g.in_w};
-  if (input_grad.shape() != in_shape) input_grad = Tensor(in_shape);
-  input_grad.zero();
-  const float* src = columns.data();
-  float* out = input_grad.data();
   const std::size_t image = g.in_channels * g.in_h * g.in_w;
-  // Parallelize over batch images: rows of the same image never collide
-  // across different n, so per-image chunks are race-free.
+  // Taps of an inside stride-1 window relative to tap (0, 0), in sum
+  // order: ky descending (oy ascending), then kx descending (ox ascending).
+  const std::size_t kernel = g.kernel;
+  std::vector<std::ptrdiff_t> inside;
+  for (std::size_t t = 0; t < kernel * kernel; ++t) {
+    const std::size_t ky = kernel - 1 - t / kernel;
+    const std::size_t kx = kernel - 1 - t % kernel;
+    inside.push_back(std::ptrdiff_t(ky * kernel + kx) -
+                     std::ptrdiff_t((ky * ow + kx) * cols));
+  }
+  std::vector<InsideSpan> y_spans(g.in_h), x_spans(g.in_w);
+  for (std::size_t i = 0; i < g.in_h; ++i) y_spans[i] = taps_reading(i, oh, g);
+  for (std::size_t i = 0; i < g.in_w; ++i) x_spans[i] = taps_reading(i, ow, g);
+  // Each image's pixels read only that image's rows, so per-image chunks
+  // are independent.
   common::parallel_for(
       0, batch,
       [&](std::size_t n) {
         const float* col = src + n * oh * ow * cols;
-        switch (g.kernel) {
-          case 1: col2im_image<1>(col, out + n * image, g); break;
-          case 3: col2im_image<3>(col, out + n * image, g); break;
-          case 5: col2im_image<5>(col, out + n * image, g); break;
-          default: col2im_image<0>(col, out + n * image, g); break;
+        float* dst = out + n * image;
+        const auto run = [&](auto image_fn) {
+          image_fn(col, dst, g, inside.data(), y_spans.data(), x_spans.data());
+        };
+        switch (kernel) {
+          case 1: run(col2im_image<1>); break;
+          case 3: run(col2im_image<3>); break;
+          case 5: run(col2im_image<5>); break;
+          default: run(col2im_image<0>); break;
         }
       },
       /*grain=*/1);
+}
+
+}  // namespace
+
+void col2im(const Tensor& columns, const Conv2dGeom& g, std::size_t batch,
+            Tensor& input_grad) {
+  require(columns.shape() ==
+              Shape{batch * g.out_h() * g.out_w(), g.patch_size()},
+          "col2im: column shape mismatch");
+  const Shape in_shape{batch, g.in_channels, g.in_h, g.in_w};
+  if (input_grad.shape() != in_shape) input_grad = Tensor(in_shape);
+  col2im_rows(columns.data(), g, batch, input_grad.data());
+}
+
+void conv2d_backward_data(const Tensor& grad_rows, const Tensor& w,
+                          const Conv2dGeom& g, Tensor& input_grad) {
+  require(grad_rows.rank() == 2 && w.rank() == 2 &&
+              grad_rows.dim(1) == w.dim(0) && w.dim(1) == g.patch_size(),
+          "conv2d_backward_data: expected (pixels, out) and (out, C*k*k)");
+  const std::size_t hw = g.out_h() * g.out_w();
+  const std::size_t m = grad_rows.dim(0), k = w.dim(0), n = w.dim(1);
+  require(hw > 0 && m % hw == 0,
+          "conv2d_backward_data: rows must be whole images");
+  const std::size_t batch = m / hw;
+  const Shape in_shape{batch, g.in_channels, g.in_h, g.in_w};
+  if (input_grad.shape() != in_shape) input_grad = Tensor(in_shape);
+  // The column gradient lives in reused per-thread scratch: matmul's panels
+  // write every element, so it needs no zeroed tensor per call.
+  thread_local std::vector<float> columns;
+  float* pc = thread_scratch(columns, m * n);
+  const float* pa = grad_rows.data();
+  const float* pb = w.data();
+  const bool b_finite = all_finite(pb, k * n);
+  const ComputeContext& ctx = active_context();
+  common::parallel_for_ranges(
+      0, m,
+      [&](std::size_t row_lo, std::size_t row_hi) {
+        ctx.gemm_nn(pa, pb, pc, row_lo, row_hi, k, n, b_finite);
+      },
+      gemm_grain(m, k, n));
+  col2im_rows(pc, g, batch, input_grad.data());
 }
 
 void softmax_rows(const Tensor& logits, Tensor& probs) {

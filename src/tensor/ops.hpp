@@ -51,6 +51,11 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c);
 /// C = A^T(k,m) * B(k,n) -> (m,n). A is stored (k,m).
 void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c);
 
+/// matmul_tn for a B whose finiteness the caller already knows, e.g. from
+/// im2col's report while it wrote the columns, so B is not scanned again.
+/// `b_finite` must equal all_finite over B.
+void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c, bool b_finite);
+
 /// C = A(m,k) * B^T(n,k) -> (m,n). B is stored (n,k).
 void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c);
 
@@ -71,13 +76,35 @@ struct Conv2dGeom {
   std::size_t patch_size() const { return in_channels * kernel * kernel; }
 };
 
-/// input: (N, C, H, W) -> columns: (N * out_h * out_w, C*k*k).
-/// Zero padding outside the image.
-void im2col(const Tensor& input, const Conv2dGeom& g, Tensor& columns);
+/// input: (N, C, H, W) -> columns: (N * out_h * out_w, C*k*k), one row
+/// per output pixel (image-major), zero padding outside the image. Returns
+/// whether every value written is finite: the elision licence for a GEMM
+/// that takes the columns as its B operand (see matmul_tn).
+bool im2col(const Tensor& input, const Conv2dGeom& g, Tensor& columns);
 
-/// Adjoint of im2col: scatter-add columns back into (N, C, H, W).
+/// Convolution forward: out (N, O, out_h, out_w) = im2col(input) * W^T,
+/// plus bias[o] on channel o when `bias` is non-null. W is (O, C*k*k).
+/// The GEMM is matmul_nt's, over its row panels; each panel's columns are
+/// built right before the GEMM reads them and its output goes through an
+/// L1-sized buffer straight to NCHW, so no (pixels, O) tensor exists.
+/// With `columns` non-null the panels are rows of *columns, which then
+/// holds the whole column matrix (for the backward pass), and the return
+/// value is im2col's finiteness report. With null, the panels live in
+/// per-thread scratch that the next call reuses, and it returns true.
+bool conv2d_forward(const Tensor& input, const Conv2dGeom& g, const Tensor& w,
+                    const float* bias, Tensor* columns, Tensor& out);
+
+/// Adjoint of im2col: (N, C, H, W) where each pixel is the sum, from +0 in
+/// ascending row order, of the column entries that im2col copied from it.
 void col2im(const Tensor& columns, const Conv2dGeom& g, std::size_t batch,
             Tensor& input_grad);
+
+/// Convolution input gradient: col2im(grad_rows * W), with grad_rows the
+/// output gradient as (N * out_h * out_w, O) rows and W (O, C*k*k). The
+/// product is matmul's, panel for panel, held in reused per-thread scratch,
+/// so no (pixels, C*k*k) tensor is allocated and zeroed per call.
+void conv2d_backward_data(const Tensor& grad_rows, const Tensor& w,
+                          const Conv2dGeom& g, Tensor& input_grad);
 
 // ------------------------------------------------- softmax / loss ----
 

@@ -717,6 +717,31 @@ TEST(ConvDataPath, Im2colAndCol2imMatchNaiveLoops) {
   }
 }
 
+TEST(ConvDataPath, Im2colFinitenessReportMatchesItsColumns) {
+  // im2col reports whether every value it wrote is finite, so a NaN on a
+  // pixel no window reads (e.g. past a strided 1x1 window) must not clear
+  // it, and one that some window reads must. conv2d_forward keeping its
+  // columns reports the same.
+  for (const ConvGeomCase& gc : kConvGeoms) {
+    const tensor::Conv2dGeom g = geom_of(gc);
+    common::Rng rng(gc.h * 7 + gc.w * 3 + gc.kernel + gc.stride);
+    const Tensor w = Tensor::randn({2, g.patch_size()}, rng);
+    const std::size_t numel = gc.batch * gc.channels * gc.h * gc.w;
+    const std::size_t step = std::max<std::size_t>(1, numel / 7);
+    for (std::size_t at = 0; at <= numel; at += step) {
+      Tensor in = Tensor::randn({gc.batch, gc.channels, gc.h, gc.w}, rng);
+      if (at < numel) in[at] = (at % 2 == 0) ? kNaN : -kInf;
+      Tensor cols, kept, out;
+      const bool report = tensor::im2col(in, g, cols);
+      EXPECT_EQ(report, tensor::all_finite(cols.data(), cols.numel()))
+          << "h=" << gc.h << " w=" << gc.w << " k=" << gc.kernel
+          << " s=" << gc.stride << " p=" << gc.pad << " at=" << at;
+      EXPECT_EQ(tensor::conv2d_forward(in, g, w, nullptr, &kept, out), report);
+      EXPECT_TRUE(bit_identical(kept.storage(), cols.storage()));
+    }
+  }
+}
+
 TEST(ConvDataPath, ReluMatchesNaiveLoops) {
   common::Rng rng(77);
   const Tensor x = salted({3, 5, 7, 9}, rng);

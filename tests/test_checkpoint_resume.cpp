@@ -143,13 +143,17 @@ TEST(CheckpointPack, RunCheckpointSaveLoadRoundTrips) {
 
 // ----------------------------------------------------- resume bit-identity --
 
-RunOptions resume_options() {
+/// `resilient` = false drops the fault and robust-aggregation options, for
+/// the algorithms without that path (run_federated refuses the options
+/// for them); their resume is then checked on the clean path.
+RunOptions resume_options(bool resilient = true) {
   RunOptions opts;
   opts.rounds = 4;
   opts.sample_ratio = 0.75;
   opts.eval_every = 2;
   opts.sampling_seed = 9;
   opts.fault_aware_sampling = true;  // the EMA must survive the checkpoint
+  if (!resilient) return opts;
   FaultConfig fc;
   fc.dropout_rate = 0.2;
   fc.loss_rate = 0.2;
@@ -176,13 +180,14 @@ TEST_P(ResumeBitIdentity, ResumedRunMatchesStraightThrough) {
   common::Rng rng1(37);
   FlEnvironment env1(source, 4, 0.5, 0.25, rng1);
   auto straight = make_algorithm(GetParam(), env1);
-  const auto full = run_federated(*straight, resume_options());
+  const bool resilient = straight->supports_resilience();
+  const auto full = run_federated(*straight, resume_options(resilient));
 
   // Leg 1: stop after round 2, capturing the snapshot.
   common::Rng rng2(37);
   FlEnvironment env2(source, 4, 0.5, 0.25, rng2);
   auto first = make_algorithm(GetParam(), env2);
-  RunOptions leg1 = resume_options();
+  RunOptions leg1 = resume_options(resilient);
   leg1.rounds = 2;
   leg1.checkpoint_every = 2;
   const auto half = run_federated(*first, leg1);
@@ -193,7 +198,7 @@ TEST_P(ResumeBitIdentity, ResumedRunMatchesStraightThrough) {
   common::Rng rng3(37);
   FlEnvironment env3(source, 4, 0.5, 0.25, rng3);
   auto second = make_algorithm(GetParam(), env3);
-  RunOptions leg2 = resume_options();
+  RunOptions leg2 = resume_options(resilient);
   leg2.resume = &half.last_checkpoint;
   const auto resumed = run_federated(*second, leg2);
 

@@ -75,6 +75,26 @@ TEST(CliFlags, EveryListedFlagIsAccepted) {
   }
 }
 
+TEST(CliFlags, AlgorithmsWithoutTheResiliencePathRefuseItsOptions) {
+  // Their run_round never delivers, vets or robustly combines uplinks, so
+  // these options would otherwise be accepted and silently ignored.
+  for (const char* algo :
+       {"fedavgm", "fedadam", "fedavg+topk", "fedavg+int8"}) {
+    for (const char* option :
+         {"--fault-corruption 1.0", "--aggregator median"}) {
+      const Outcome r =
+          run_cli(std::string("train --algo ") + algo +
+                  " --rounds 1 --clients 2 --arch cnn2 --input 8 "
+                  "--width 0.25 " + option);
+      EXPECT_EQ(r.exit_code, 1) << algo << " " << option << ": " << r.output;
+      EXPECT_NE(r.output.find("error: "), std::string::npos)
+          << algo << " " << option << ": " << r.output;
+      EXPECT_EQ(r.output.find("round "), std::string::npos)
+          << algo << " " << option << " ran a round: " << r.output;
+    }
+  }
+}
+
 /// The text of the function whose definition starts with `head`.
 std::string function_body(const std::string& src, const std::string& head) {
   const std::size_t begin = src.find(head);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <stdexcept>
+
 #include "common/rng.hpp"
 #include "nn/batchnorm.hpp"
 #include "nn/conv.hpp"
@@ -141,6 +144,54 @@ TEST(Conv2d, AveragingKernel) {
   // Interior pixel: all 9 taps inside -> 9.0. Corner: only 4 taps -> 4.0.
   EXPECT_FLOAT_EQ(y.at({0, 0, 2, 2}), 9.0f);
   EXPECT_FLOAT_EQ(y.at({0, 0, 0, 0}), 4.0f);
+}
+
+TEST(Conv2d, EvalForwardMatchesTrainForwardBitForBit) {
+  // Eval builds its columns panel by panel and drops them; train keeps
+  // them for backward. The output may not depend on which one ran.
+  struct Case {
+    std::size_t in, out, kernel, stride, pad, h, w;
+    bool bias;
+  };
+  const Case cases[] = {{3, 8, 3, 1, 1, 16, 16, false},
+                        {8, 16, 3, 2, 1, 9, 7, true},
+                        {8, 16, 1, 2, 0, 8, 8, false},
+                        {4, 6, 5, 1, 2, 6, 5, true},
+                        {16, 32, 3, 1, 1, 1, 1, false}};
+  for (const Case& c : cases) {
+    common::Rng rng(c.in * 31 + c.kernel * 7 + c.h);
+    Conv2d conv(c.in, c.out, c.kernel, c.stride, c.pad, c.bias);
+    conv.init_params(rng);
+    if (c.bias) {
+      for (float& v : conv.params()[1].value->storage()) {
+        v = rng.normal_float(0, 1);
+      }
+    }
+    const Tensor x = Tensor::randn({3, c.in, c.h, c.w}, rng);
+    const Tensor eval = conv.forward(x, /*train=*/false);
+    const Tensor train = conv.forward(x, /*train=*/true);
+    ASSERT_EQ(eval.shape(), train.shape());
+    EXPECT_EQ(std::memcmp(eval.data(), train.data(),
+                          eval.numel() * sizeof(float)),
+              0)
+        << "kernel " << c.kernel << " stride " << c.stride << " plane "
+        << c.h << "x" << c.w;
+  }
+}
+
+TEST(Conv2d, BackwardWithoutTrainForwardThrows) {
+  common::Rng rng(5);
+  Conv2d conv(2, 3, 3, 1, 1);
+  conv.init_params(rng);
+  const Tensor x = Tensor::randn({2, 2, 5, 5}, rng);
+  const Tensor y = conv.forward(x, /*train=*/false);
+  EXPECT_THROW(conv.backward(y), std::logic_error);
+  // An eval forward also drops the columns a train forward kept.
+  conv.forward(x, /*train=*/true);
+  conv.forward(x, /*train=*/false);
+  EXPECT_THROW(conv.backward(y), std::logic_error);
+  conv.forward(x, /*train=*/true);
+  EXPECT_NO_THROW(conv.backward(y));
 }
 
 class ConvGradCheck
