@@ -72,7 +72,7 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
   // panel inside the call and frees the training cache, so a model that
   // only evaluates holds no column matrix.
   cached_train_ = train;
-  if (!train) cached_cols_ = Tensor();
+  if (!train) cached_cols_ = tensor::ConvColumns();
   cached_batch_ = input.dim(0);
   cached_geom_ = geom;
   Tensor out;
@@ -80,9 +80,8 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
   // (tensor/backend.hpp); im2col, the bias add and the NCHW store around it
   // are data movement plus independent per-element adds, so they are
   // backend-agnostic and bit-stable.
-  cols_finite_ = tensor::conv2d_forward(input, geom, w_,
-                                        has_bias_ ? b_.data() : nullptr,
-                                        train ? &cached_cols_ : nullptr, out);
+  tensor::conv2d_forward(input, geom, w_, has_bias_ ? b_.data() : nullptr,
+                         train ? &cached_cols_ : nullptr, out);
   return out;
 }
 
@@ -96,9 +95,9 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
                                     cached_geom_.out_w()}));
   Tensor grows;
   nchw_to_rows(grad_output, grows);  // (rows, out)
-  // dW += dRows^T * cols, licensed by the forward's finiteness report.
+  // dW += dRows^T * cols
   Tensor dw;
-  tensor::matmul_tn(grows, cached_cols_, dw, cols_finite_);
+  tensor::conv2d_backward_weights(grows, cached_cols_, dw);
   gw_ += dw;
   if (has_bias_) {
     const float* g = grows.data();

@@ -35,8 +35,7 @@ class Conv2d : public Module {
   bool has_bias_;
   Tensor w_, gw_;  // (out, in*k*k)
   Tensor b_, gb_;  // (out)
-  Tensor cached_cols_;       // im2col of the last train forward's input
-  bool cols_finite_ = true;  // im2col's finiteness report for cached_cols_
+  tensor::ConvColumns cached_cols_;  // of the last train forward's input
   bool cached_train_ = false;
   tensor::Conv2dGeom cached_geom_;
   std::size_t cached_batch_ = 0;

@@ -104,12 +104,14 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c) {
       /*grain=*/gemm_grain(m, k, n));
 }
 
-void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c) {
-  require(b.rank() == 2, "matmul_tn: inputs must be rank-2");
-  matmul_tn(a, b, c, all_finite(b.data(), b.numel()));
-}
+namespace {
 
-void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c, bool b_finite) {
+/// matmul_tn with the elision licence supplied: `b_finite` must equal
+/// all_finite over B. Callers are matmul_tn, which scans B, and
+/// conv2d_backward_weights, which reads the report conv2d_forward made
+/// while writing B.
+void matmul_tn_licensed(const Tensor& a, const Tensor& b, Tensor& c,
+                        bool b_finite) {
   require(a.rank() == 2 && b.rank() == 2, "matmul_tn: inputs must be rank-2");
   const std::size_t k = a.dim(0), m = a.dim(1), n = b.dim(1);
   require(b.dim(0) == k, "matmul_tn: inner dimensions differ");
@@ -126,6 +128,13 @@ void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c, bool b_finite) {
         ctx.gemm_tn(pa, pb, pc, row_lo, row_hi, m, k, n, b_finite);
       },
       gemm_grain(m, k, n));
+}
+
+}  // namespace
+
+void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c) {
+  require(b.rank() == 2, "matmul_tn: inputs must be rank-2");
+  matmul_tn_licensed(a, b, c, all_finite(b.data(), b.numel()));
 }
 
 void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c) {
@@ -154,9 +163,8 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
 
 namespace {
 
-/// Per-thread scratch that only grows (padded inputs, column panels, the
-/// epilogue buffer, the column gradient), so steady-state calls allocate
-/// nothing.
+/// Per-thread scratch that only grows (column panels, the epilogue buffer,
+/// a chunk's column gradient), so steady-state calls allocate nothing.
 float* thread_scratch(std::vector<float>& buf, std::size_t count) {
   if (buf.size() < count) buf.resize(count);
   return buf.data();
@@ -289,97 +297,57 @@ inline float* im2col_border(const float* src_n, float* d, std::size_t kernel,
   return d;
 }
 
-/// What im2col reads: the input itself, or a copy of it with `pad` zeros
-/// around every plane, so that every window lies inside (then pad == 0).
-struct ConvSource {
-  const float* data;
-  std::size_t h, w, pad;
-};
-
-/// The source for `input`. Stride-1 windows over planes of 16 or more
-/// pixels read a zero-padded copy: the copy costs about 1/k^2 of the
-/// columns and spares every border window its bounds tests. Strided
-/// windows (the copy then costs up to 4/9 of the columns) and smaller
-/// planes (per-row copy overhead) read the input directly.
-ConvSource conv_source(const Tensor& input, const Conv2dGeom& g,
-                       std::vector<float>& scratch) {
-  const std::size_t h = g.in_h, w = g.in_w, p = g.pad;
-  if (p == 0 || g.stride != 1 || h * w < 16) return {input.data(), h, w, p};
-  const std::size_t ph = h + 2 * p, pw = w + 2 * p;
-  const std::size_t planes = input.dim(0) * g.in_channels;
-  float* out = thread_scratch(scratch, planes * ph * pw);
-  const float* in = input.data();
-  common::parallel_for_ranges(
-      0, planes,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t pl = lo; pl < hi; ++pl) {
-          const float* plane = in + pl * h * w;
-          float* dst = out + pl * ph * pw;
-          std::fill(dst, dst + p * pw, 0.0f);
-          dst += p * pw;
-          for (std::size_t y = 0; y < h; ++y, dst += pw) {
-            std::fill(dst, dst + p, 0.0f);
-            std::memcpy(dst + p, plane + y * w, w * sizeof(float));
-            std::fill(dst + p + w, dst + pw, 0.0f);
-          }
-          std::fill(dst, dst + p * pw, 0.0f);
-        }
-      },
-      std::max<std::size_t>(1, 4096 / (ph * pw)));
-  return {out, ph, pw, 0};
-}
-
-/// Rows [lo, hi) of the column matrix into `dst` (row lo first), one
-/// output line at a time: the line's vertical taps are worked out once, and
-/// windows inside the source copy fixed-size runs with no bounds test. K is
-/// the kernel size when known at compile time (the common 1/3/5); K == 0
-/// reads it from `g` and takes the bounds-tested path throughout.
+/// Rows [lo, hi) of the column matrix of `input` into `dst` (row lo
+/// first), one output line at a time: the line's vertical taps are worked
+/// out once, and windows inside the image copy fixed-size runs with no
+/// bounds test. K is the kernel size when known at compile time (the common
+/// 1/3/5); K == 0 reads it from `g` and takes the bounds-tested path
+/// throughout.
 template <std::size_t K>
-void im2col_rows(const ConvSource& src, float* dst, const Conv2dGeom& g,
+void im2col_rows(const float* input, float* dst, const Conv2dGeom& g,
                  std::size_t lo, std::size_t hi) {
   const std::size_t kernel = K != 0 ? K : g.kernel;
   const std::size_t oh = g.out_h(), ow = g.out_w();
-  const std::size_t plane = src.h * src.w;
+  const std::size_t h = g.in_h, w = g.in_w, pad = g.pad, plane = h * w;
   // Output columns [x_lo, x_hi) have windows inside horizontally.
   const std::size_t x_lo =
-      K == 0 ? ow : std::min(ow, (src.pad + g.stride - 1) / g.stride);
+      K == 0 ? ow : std::min(ow, (pad + g.stride - 1) / g.stride);
   const std::size_t x_hi =
-      K == 0 || src.w + src.pad < kernel
+      K == 0 || w + pad < kernel
           ? x_lo
-          : std::clamp((src.w + src.pad - kernel) / g.stride + 1, x_lo, ow);
+          : std::clamp((w + pad - kernel) / g.stride + 1, x_lo, ow);
   for (std::size_t r = lo; r < hi;) {
     const std::size_t line = r / ow;
     const std::size_t ox_begin = r % ow;
     const std::size_t ox_end = std::min(ow, ox_begin + (hi - r));
-    const float* src_n = src.data + line / oh * g.in_channels * plane;
+    const float* src_n = input + line / oh * g.in_channels * plane;
     const std::ptrdiff_t iy0 =
-        std::ptrdiff_t(line % oh * g.stride) - std::ptrdiff_t(src.pad);
-    const InsideSpan ys = taps_inside(iy0, src.h, kernel);
+        std::ptrdiff_t(line % oh * g.stride) - std::ptrdiff_t(pad);
+    const InsideSpan ys = taps_inside(iy0, h, kernel);
     const bool y_inside = ys.lo == 0 && ys.hi == kernel;
     float* d = dst + (r - lo) * g.patch_size();
     for (std::size_t ox = ox_begin; ox < ox_end; ++ox) {
       const std::ptrdiff_t ix0 =
-          std::ptrdiff_t(ox * g.stride) - std::ptrdiff_t(src.pad);
+          std::ptrdiff_t(ox * g.stride) - std::ptrdiff_t(pad);
       if (y_inside && ox >= x_lo && ox < x_hi) {
-        d = im2col_inside<K>(src_n + std::size_t(iy0) * src.w +
-                                 std::size_t(ix0),
-                             d, g.in_channels, plane, src.w);
+        d = im2col_inside<K>(src_n + std::size_t(iy0) * w + std::size_t(ix0),
+                             d, g.in_channels, plane, w);
       } else {
-        d = im2col_border<K>(src_n, d, kernel, g.in_channels, src.h, src.w,
-                             iy0, ys, ix0);
+        d = im2col_border<K>(src_n, d, kernel, g.in_channels, h, w, iy0, ys,
+                             ix0);
       }
     }
     r += ox_end - ox_begin;
   }
 }
 
-void im2col_dispatch(const ConvSource& src, float* dst, const Conv2dGeom& g,
+void im2col_dispatch(const float* input, float* dst, const Conv2dGeom& g,
                      std::size_t lo, std::size_t hi) {
   switch (g.kernel) {
-    case 1: im2col_rows<1>(src, dst, g, lo, hi); break;
-    case 3: im2col_rows<3>(src, dst, g, lo, hi); break;
-    case 5: im2col_rows<5>(src, dst, g, lo, hi); break;
-    default: im2col_rows<0>(src, dst, g, lo, hi); break;
+    case 1: im2col_rows<1>(input, dst, g, lo, hi); break;
+    case 3: im2col_rows<3>(input, dst, g, lo, hi); break;
+    case 5: im2col_rows<5>(input, dst, g, lo, hi); break;
+    default: im2col_rows<0>(input, dst, g, lo, hi); break;
   }
 }
 
@@ -399,50 +367,102 @@ inline void sum_taps(const float* base, const std::ptrdiff_t* taps,
   }
 }
 
-/// col2im over one image as a gather: every input pixel of every channel
-/// sums its taps from +0 in (oy, ox)-ascending order (the order the
-/// recorded conv CRCs fix) and is stored once. The
-/// pixel loop is outermost: a pixel's taps sit at the same offsets in every
-/// channel's part of the column rows, so they are found once and then
-/// summed channel by channel, walking each column row forward. A stride-1
-/// window that lies inside the output grid has all K*K taps at fixed
-/// offsets (`inside`, K*K entries, K known at compile time), which unroll.
-template <std::size_t K>
-void col2im_image(const float* col, float* dst_n, const Conv2dGeom& g,
-                  const std::ptrdiff_t* inside, const InsideSpan* y_spans,
-                  const InsideSpan* x_spans) {
-  const std::size_t kernel = K != 0 ? K : g.kernel, kk = kernel * kernel;
-  const std::size_t stride = g.stride, pad = g.pad;
-  const std::size_t ow = g.out_w(), cols = g.patch_size();
-  const std::size_t channels = g.in_channels, plane = g.in_h * g.in_w;
-  // At least 4 entries, so the fixed-count cases below stay in bounds.
-  std::vector<std::ptrdiff_t> taps(std::max<std::size_t>(kk, 4));
+/// Where col2im finds the taps of input pixel `pixel` (row-major in its
+/// plane) in an image's column rows: the `count` offsets from `base`
+/// listed in PlaneGather::taps from `first` on, in (oy, ox)-ascending order
+/// (the order the recorded conv CRCs fix).
+struct PixelGather {
+  std::ptrdiff_t base;
+  std::uint32_t pixel, first, count;
+};
+
+/// The gathers of the pixels of an input plane that some window reads.
+/// They are the same for every image, and for every channel up to an
+/// offset of c * k * k, so col2im finds them once per call.
+struct PlaneGather {
+  std::vector<PixelGather> pixels;  // by tap count, then row-major
+  std::vector<std::ptrdiff_t> taps;
+  bool sparse = false;  // some pixel is read by no window (1x1 stride 2)
+};
+
+PlaneGather plane_gather(const Conv2dGeom& g) {
+  const std::size_t kernel = g.kernel, stride = g.stride, pad = g.pad;
+  const std::size_t oh = g.out_h(), ow = g.out_w(), cols = g.patch_size();
+  PlaneGather pg;
+  // A stride-1 window inside the output grid has all kernel^2 taps at the
+  // same offsets from its tap (0, 0), output row (iy + pad, ix + pad), so
+  // all such pixels share the list's first kernel^2 entries: ky descending
+  // (oy ascending), then kx descending (ox ascending).
+  if (stride == 1) {
+    for (std::size_t t = 0; t < kernel * kernel; ++t) {
+      const std::size_t ky = kernel - 1 - t / kernel;
+      const std::size_t kx = kernel - 1 - t % kernel;
+      pg.taps.push_back(std::ptrdiff_t(ky * kernel + kx) -
+                        std::ptrdiff_t((ky * ow + kx) * cols));
+    }
+  }
+  pg.pixels.reserve(g.in_h * g.in_w);
   for (std::size_t iy = 0; iy < g.in_h; ++iy) {
-    const InsideSpan ys = y_spans[iy];
+    const InsideSpan ys = taps_reading(iy, oh, g);
     for (std::size_t ix = 0; ix < g.in_w; ++ix) {
-      const InsideSpan xs = x_spans[ix];
-      float* dst = dst_n + iy * g.in_w + ix;
-      if (K != 0 && stride == 1 && ys.hi - ys.lo == K && xs.hi - xs.lo == K) {
-        // Tap (0, 0) is output row (iy + pad, ix + pad).
-        sum_taps<K * K>(col + ((iy + pad) * ow + ix + pad) * cols, inside,
-                        K * K, channels, kk, dst, plane);
+      const InsideSpan xs = taps_reading(ix, ow, g);
+      const auto pixel = std::uint32_t(iy * g.in_w + ix);
+      if (ys.lo == ys.hi || xs.lo == xs.hi) {
+        pg.sparse = true;
         continue;
       }
-      std::size_t n = 0;
+      if (stride == 1 && ys.hi - ys.lo == kernel && xs.hi - xs.lo == kernel) {
+        pg.pixels.push_back({std::ptrdiff_t(((iy + pad) * ow + ix + pad) * cols),
+                             pixel, 0, std::uint32_t(kernel * kernel)});
+        continue;
+      }
+      const auto first = std::uint32_t(pg.taps.size());
       for (std::size_t oy = ys.lo; oy < ys.hi; ++oy) {
         const std::size_t ky = iy + pad - oy * stride;
         for (std::size_t ox = xs.lo; ox < xs.hi; ++ox) {
           const std::size_t kx = ix + pad - ox * stride;
-          taps[n++] = std::ptrdiff_t((oy * ow + ox) * cols + ky * kernel + kx);
+          pg.taps.push_back(
+              std::ptrdiff_t((oy * ow + ox) * cols + ky * kernel + kx));
         }
       }
-      const std::ptrdiff_t* t = taps.data();
-      switch (n) {  // the counts strided windows produce, unrolled
-        case 1: sum_taps<1>(col, t, n, channels, kk, dst, plane); break;
-        case 2: sum_taps<2>(col, t, n, channels, kk, dst, plane); break;
-        case 4: sum_taps<4>(col, t, n, channels, kk, dst, plane); break;
-        default: sum_taps<0>(col, t, n, channels, kk, dst, plane); break;
-      }
+      pg.pixels.push_back(
+          {0, pixel, first, std::uint32_t(pg.taps.size()) - first});
+    }
+  }
+  // Pixels are independent, so they can go in any order: grouped by tap
+  // count, col2im_image's dispatch on the count takes the same branch for
+  // long runs instead of alternating (as 1, 2, 1, 2 along a stride-2 row).
+  std::stable_sort(pg.pixels.begin(), pg.pixels.end(),
+                   [](const PixelGather& a, const PixelGather& b) {
+                     return a.count < b.count;
+                   });
+  return pg;
+}
+
+/// col2im over one image as a gather: every input pixel of every channel
+/// sums its taps from +0 and is stored once; pixels no window reads are
+/// +0. The pixel loop is outermost: a pixel's taps sit at the same offsets
+/// in every channel's part of the column rows, so they are summed channel
+/// by channel, walking each column row forward. The tap counts that common
+/// windows produce are unrolled.
+void col2im_image(const float* col, float* dst_n, const Conv2dGeom& g,
+                  const PlaneGather& pg) {
+  const std::size_t kk = g.kernel * g.kernel, channels = g.in_channels;
+  const std::size_t plane = g.in_h * g.in_w;
+  if (pg.sparse) std::fill(dst_n, dst_n + channels * plane, 0.0f);
+  for (const PixelGather& px : pg.pixels) {
+    const float* base = col + px.base;
+    const std::ptrdiff_t* t = pg.taps.data() + px.first;
+    float* dst = dst_n + px.pixel;
+    const std::size_t n = px.count;
+    switch (n) {
+      case 1: sum_taps<1>(base, t, n, channels, kk, dst, plane); break;
+      case 2: sum_taps<2>(base, t, n, channels, kk, dst, plane); break;
+      case 4: sum_taps<4>(base, t, n, channels, kk, dst, plane); break;
+      case 6: sum_taps<6>(base, t, n, channels, kk, dst, plane); break;
+      case 9: sum_taps<9>(base, t, n, channels, kk, dst, plane); break;
+      case 25: sum_taps<25>(base, t, n, channels, kk, dst, plane); break;
+      default: sum_taps<0>(base, t, n, channels, kk, dst, plane); break;
     }
   }
 }
@@ -480,33 +500,23 @@ void store_nchw(const float* buf, std::size_t r0, std::size_t r1,
 
 }  // namespace
 
-bool im2col(const Tensor& input, const Conv2dGeom& g, Tensor& columns) {
+void im2col(const Tensor& input, const Conv2dGeom& g, Tensor& columns) {
   require_geometry(input, g, "im2col: input shape does not match geometry");
   const std::size_t rows = input.dim(0) * g.out_h() * g.out_w();
   const std::size_t cols = g.patch_size();
   if (columns.shape() != Shape{rows, cols}) columns = Tensor({rows, cols});
-  // Windows that skip pixels (kernel < stride) get their columns scanned
-  // instead of the input.
-  const bool scan_input = g.kernel >= g.stride;
-  std::atomic<bool> finite{!scan_input || read_pixels_finite(input, g)};
-  thread_local std::vector<float> padded;
-  const ConvSource src = conv_source(input, g, padded);
+  const float* in = input.data();
   float* out = columns.data();
   common::parallel_for_ranges(
       0, rows,
       [&](std::size_t lo, std::size_t hi) {
-        im2col_dispatch(src, out + lo * cols, g, lo, hi);
-        if (!scan_input &&
-            (exponent_carry(out + lo * cols, (hi - lo) * cols) & kSignBit)) {
-          finite.store(false, std::memory_order_relaxed);
-        }
+        im2col_dispatch(in, out + lo * cols, g, lo, hi);
       },
       std::max<std::size_t>(1, 4096 / std::max<std::size_t>(1, cols)));
-  return finite.load(std::memory_order_relaxed);
 }
 
-bool conv2d_forward(const Tensor& input, const Conv2dGeom& g, const Tensor& w,
-                    const float* bias, Tensor* columns, Tensor& out) {
+void conv2d_forward(const Tensor& input, const Conv2dGeom& g, const Tensor& w,
+                    const float* bias, ConvColumns* columns, Tensor& out) {
   require_geometry(input, g,
                    "conv2d_forward: input shape does not match geometry");
   const std::size_t k = g.patch_size();
@@ -516,19 +526,21 @@ bool conv2d_forward(const Tensor& input, const Conv2dGeom& g, const Tensor& w,
   const std::size_t m = input.dim(0) * hw, n = w.dim(0);
   const Shape out_shape{input.dim(0), n, oh, ow};
   if (out.shape() != out_shape) out = Tensor(out_shape);
-  if (columns != nullptr && columns->shape() != Shape{m, k}) {
-    *columns = Tensor({m, k});
-  }
-  // The finiteness report as in im2col, wanted only with kept columns.
-  const bool scan_input = columns != nullptr && g.kernel >= g.stride;
-  const bool scan_cols = columns != nullptr && g.kernel < g.stride;
+  Tensor* kept = columns != nullptr ? &columns->matrix_ : nullptr;
+  if (kept != nullptr && kept->shape() != Shape{m, k}) *kept = Tensor({m, k});
+  // Kept columns get their finiteness recorded: the licence for the dW
+  // GEMM's elision (conv2d_backward_weights). When kernel >= stride the
+  // columns hold exactly the pixels the windows read plus zeros, so those
+  // pixels are scanned at 1/k^2 of the columns' size; sparser windows get
+  // their written panels scanned instead.
+  const bool scan_input = kept != nullptr && g.kernel >= g.stride;
+  const bool scan_cols = kept != nullptr && g.kernel < g.stride;
   std::atomic<bool> finite{!scan_input || read_pixels_finite(input, g)};
-  thread_local std::vector<float> padded;
-  const ConvSource src = conv_source(input, g, padded);
+  const float* in = input.data();
   const float* pw = w.data();
   float* pout = out.data();
-  float* pcols = columns != nullptr ? columns->data() : nullptr;
-  SPATL_DCHECK(pout != input.data() && pout != pw);
+  float* pcols = kept != nullptr ? kept->data() : nullptr;
+  SPATL_DCHECK(pout != in && pout != pw);
   const ComputeContext& ctx = active_context();
   const std::size_t step = std::max(
       kGemmRowTile,
@@ -545,7 +557,7 @@ bool conv2d_forward(const Tensor& input, const Conv2dGeom& g, const Tensor& w,
           float* panel = pcols != nullptr ? pcols + r0 * k
                                           : thread_scratch(panel_scratch,
                                                            step * k);
-          im2col_dispatch(src, panel, g, r0, r1);
+          im2col_dispatch(in, panel, g, r0, r1);
           if (scan_cols) flags |= exponent_carry(panel, (r1 - r0) * k);
           ctx.gemm_nt(panel, pw, gemm_out, 0, r1 - r0, k, n);
           store_nchw(gemm_out, r0, r1, n, hw, bias, pout);
@@ -555,61 +567,34 @@ bool conv2d_forward(const Tensor& input, const Conv2dGeom& g, const Tensor& w,
         }
       },
       gemm_grain(m, k, n));
-  return finite.load(std::memory_order_relaxed);
-}
-
-namespace {
-
-/// col2im of the (batch * out_h * out_w, patch) matrix at `src` into
-/// `input_grad`, which has the input's shape.
-void col2im_rows(const float* src, const Conv2dGeom& g, std::size_t batch,
-                 float* out) {
-  const std::size_t oh = g.out_h(), ow = g.out_w();
-  const std::size_t cols = g.patch_size();
-  const std::size_t image = g.in_channels * g.in_h * g.in_w;
-  // Taps of an inside stride-1 window relative to tap (0, 0), in sum
-  // order: ky descending (oy ascending), then kx descending (ox ascending).
-  const std::size_t kernel = g.kernel;
-  std::vector<std::ptrdiff_t> inside;
-  for (std::size_t t = 0; t < kernel * kernel; ++t) {
-    const std::size_t ky = kernel - 1 - t / kernel;
-    const std::size_t kx = kernel - 1 - t % kernel;
-    inside.push_back(std::ptrdiff_t(ky * kernel + kx) -
-                     std::ptrdiff_t((ky * ow + kx) * cols));
+  if (columns != nullptr) {
+    columns->finite_ = finite.load(std::memory_order_relaxed);
   }
-  std::vector<InsideSpan> y_spans(g.in_h), x_spans(g.in_w);
-  for (std::size_t i = 0; i < g.in_h; ++i) y_spans[i] = taps_reading(i, oh, g);
-  for (std::size_t i = 0; i < g.in_w; ++i) x_spans[i] = taps_reading(i, ow, g);
-  // Each image's pixels read only that image's rows, so per-image chunks
-  // are independent.
-  common::parallel_for(
-      0, batch,
-      [&](std::size_t n) {
-        const float* col = src + n * oh * ow * cols;
-        float* dst = out + n * image;
-        const auto run = [&](auto image_fn) {
-          image_fn(col, dst, g, inside.data(), y_spans.data(), x_spans.data());
-        };
-        switch (kernel) {
-          case 1: run(col2im_image<1>); break;
-          case 3: run(col2im_image<3>); break;
-          case 5: run(col2im_image<5>); break;
-          default: run(col2im_image<0>); break;
-        }
-      },
-      /*grain=*/1);
 }
 
-}  // namespace
+void conv2d_backward_weights(const Tensor& grad_rows,
+                             const ConvColumns& columns, Tensor& dw) {
+  matmul_tn_licensed(grad_rows, columns.matrix_, dw, columns.finite_);
+}
 
 void col2im(const Tensor& columns, const Conv2dGeom& g, std::size_t batch,
             Tensor& input_grad) {
-  require(columns.shape() ==
-              Shape{batch * g.out_h() * g.out_w(), g.patch_size()},
+  const std::size_t image_rows = g.out_h() * g.out_w();
+  require(columns.shape() == Shape{batch * image_rows, g.patch_size()},
           "col2im: column shape mismatch");
   const Shape in_shape{batch, g.in_channels, g.in_h, g.in_w};
   if (input_grad.shape() != in_shape) input_grad = Tensor(in_shape);
-  col2im_rows(columns.data(), g, batch, input_grad.data());
+  const PlaneGather pg = plane_gather(g);
+  const std::size_t image = g.in_channels * g.in_h * g.in_w;
+  const float* col = columns.data();
+  float* out = input_grad.data();
+  common::parallel_for(
+      0, batch,
+      [&](std::size_t n) {
+        col2im_image(col + n * image_rows * g.patch_size(), out + n * image, g,
+                     pg);
+      },
+      /*grain=*/1);
 }
 
 void conv2d_backward_data(const Tensor& grad_rows, const Tensor& w,
@@ -624,21 +609,29 @@ void conv2d_backward_data(const Tensor& grad_rows, const Tensor& w,
   const std::size_t batch = m / hw;
   const Shape in_shape{batch, g.in_channels, g.in_h, g.in_w};
   if (input_grad.shape() != in_shape) input_grad = Tensor(in_shape);
-  // The column gradient lives in reused per-thread scratch: matmul's panels
-  // write every element, so it needs no zeroed tensor per call.
-  thread_local std::vector<float> columns;
-  float* pc = thread_scratch(columns, m * n);
+  const PlaneGather pg = plane_gather(g);
+  const std::size_t image = g.in_channels * g.in_h * g.in_w;
   const float* pa = grad_rows.data();
   const float* pb = w.data();
+  float* out = input_grad.data();
   const bool b_finite = all_finite(pb, k * n);
   const ComputeContext& ctx = active_context();
+  // Each chunk of whole images (at least one gemm_grain panel of rows) gets
+  // its column gradient from matmul's kernel into per-thread scratch and
+  // gathers it into its images right away, while it is still in cache. The
+  // scratch holds one chunk, never the batch's (pixels, C*k*k) matrix.
   common::parallel_for_ranges(
-      0, m,
-      [&](std::size_t row_lo, std::size_t row_hi) {
-        ctx.gemm_nn(pa, pb, pc, row_lo, row_hi, k, n, b_finite);
+      0, batch,
+      [&](std::size_t lo, std::size_t hi) {
+        thread_local std::vector<float> dcols;
+        const std::size_t rows = (hi - lo) * hw;
+        float* pc = thread_scratch(dcols, rows * n);
+        ctx.gemm_nn(pa + lo * hw * k, pb, pc, 0, rows, k, n, b_finite);
+        for (std::size_t img = lo; img < hi; ++img) {
+          col2im_image(pc + (img - lo) * hw * n, out + img * image, g, pg);
+        }
       },
-      gemm_grain(m, k, n));
-  col2im_rows(pc, g, batch, input_grad.data());
+      std::max<std::size_t>(1, gemm_grain(m, k, n) / hw));
 }
 
 void softmax_rows(const Tensor& logits, Tensor& probs) {

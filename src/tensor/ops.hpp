@@ -51,11 +51,6 @@ void matmul(const Tensor& a, const Tensor& b, Tensor& c);
 /// C = A^T(k,m) * B(k,n) -> (m,n). A is stored (k,m).
 void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c);
 
-/// matmul_tn for a B whose finiteness the caller already knows, e.g. from
-/// im2col's report while it wrote the columns, so B is not scanned again.
-/// `b_finite` must equal all_finite over B.
-void matmul_tn(const Tensor& a, const Tensor& b, Tensor& c, bool b_finite);
-
 /// C = A(m,k) * B^T(n,k) -> (m,n). B is stored (n,k).
 void matmul_nt(const Tensor& a, const Tensor& b, Tensor& c);
 
@@ -77,22 +72,48 @@ struct Conv2dGeom {
 };
 
 /// input: (N, C, H, W) -> columns: (N * out_h * out_w, C*k*k), one row
-/// per output pixel (image-major), zero padding outside the image. Returns
-/// whether every value written is finite: the elision licence for a GEMM
-/// that takes the columns as its B operand (see matmul_tn).
-bool im2col(const Tensor& input, const Conv2dGeom& g, Tensor& columns);
+/// per output pixel (image-major), zero padding outside the image.
+void im2col(const Tensor& input, const Conv2dGeom& g, Tensor& columns);
+
+class ConvColumns;
 
 /// Convolution forward: out (N, O, out_h, out_w) = im2col(input) * W^T,
 /// plus bias[o] on channel o when `bias` is non-null. W is (O, C*k*k).
 /// The GEMM is matmul_nt's, over its row panels; each panel's columns are
 /// built right before the GEMM reads them and its output goes through an
 /// L1-sized buffer straight to NCHW, so no (pixels, O) tensor exists.
-/// With `columns` non-null the panels are rows of *columns, which then
-/// holds the whole column matrix (for the backward pass), and the return
-/// value is im2col's finiteness report. With null, the panels live in
-/// per-thread scratch that the next call reuses, and it returns true.
-bool conv2d_forward(const Tensor& input, const Conv2dGeom& g, const Tensor& w,
-                    const float* bias, Tensor* columns, Tensor& out);
+/// With `columns` non-null the panels are rows of its matrix, which then
+/// holds the whole column matrix for the backward pass, together with
+/// whether every value in it is finite. With null, the panels live in
+/// per-thread scratch that the next call reuses.
+void conv2d_forward(const Tensor& input, const Conv2dGeom& g, const Tensor& w,
+                    const float* bias, ConvColumns* columns, Tensor& out);
+
+/// Convolution weight gradient: dW (O, C*k*k) = grad_rows^T * columns, with
+/// grad_rows the output gradient as (N * out_h * out_w, O) rows. The GEMM
+/// is matmul_tn's; its pruned-row elision is licensed by the finiteness
+/// conv2d_forward recorded, so the columns are not scanned again.
+void conv2d_backward_weights(const Tensor& grad_rows,
+                             const ConvColumns& columns, Tensor& dw);
+
+/// The column matrix a training conv forward keeps for its backward pass.
+/// Only conv2d_forward writes it and its finiteness, and only
+/// conv2d_backward_weights takes that finiteness as an elision licence, so
+/// no caller can vouch for values the kernels did not scan.
+class ConvColumns {
+ public:
+  const Tensor& matrix() const { return matrix_; }
+  /// Whether every value of matrix() is finite.
+  bool finite() const { return finite_; }
+
+ private:
+  friend void conv2d_forward(const Tensor&, const Conv2dGeom&, const Tensor&,
+                             const float*, ConvColumns*, Tensor&);
+  friend void conv2d_backward_weights(const Tensor&, const ConvColumns&,
+                                      Tensor&);
+  Tensor matrix_;
+  bool finite_ = true;
+};
 
 /// Adjoint of im2col: (N, C, H, W) where each pixel is the sum, from +0 in
 /// ascending row order, of the column entries that im2col copied from it.
@@ -101,8 +122,8 @@ void col2im(const Tensor& columns, const Conv2dGeom& g, std::size_t batch,
 
 /// Convolution input gradient: col2im(grad_rows * W), with grad_rows the
 /// output gradient as (N * out_h * out_w, O) rows and W (O, C*k*k). The
-/// product is matmul's, panel for panel, held in reused per-thread scratch,
-/// so no (pixels, C*k*k) tensor is allocated and zeroed per call.
+/// product is matmul's, computed a chunk of images at a time into reused
+/// per-thread scratch, so no (pixels, C*k*k) tensor is allocated.
 void conv2d_backward_data(const Tensor& grad_rows, const Tensor& w,
                           const Conv2dGeom& g, Tensor& input_grad);
 

@@ -718,10 +718,10 @@ TEST(ConvDataPath, Im2colAndCol2imMatchNaiveLoops) {
 }
 
 TEST(ConvDataPath, Im2colFinitenessReportMatchesItsColumns) {
-  // im2col reports whether every value it wrote is finite, so a NaN on a
-  // pixel no window reads (e.g. past a strided 1x1 window) must not clear
-  // it, and one that some window reads must. conv2d_forward keeping its
-  // columns reports the same.
+  // A train conv forward records whether every column it kept is finite,
+  // so a NaN on a pixel no window reads (e.g. past a strided 1x1 window)
+  // must not clear the report, and one that some window reads must. The
+  // kept columns are im2col's.
   for (const ConvGeomCase& gc : kConvGeoms) {
     const tensor::Conv2dGeom g = geom_of(gc);
     common::Rng rng(gc.h * 7 + gc.w * 3 + gc.kernel + gc.stride);
@@ -731,13 +731,14 @@ TEST(ConvDataPath, Im2colFinitenessReportMatchesItsColumns) {
     for (std::size_t at = 0; at <= numel; at += step) {
       Tensor in = Tensor::randn({gc.batch, gc.channels, gc.h, gc.w}, rng);
       if (at < numel) in[at] = (at % 2 == 0) ? kNaN : -kInf;
-      Tensor cols, kept, out;
-      const bool report = tensor::im2col(in, g, cols);
-      EXPECT_EQ(report, tensor::all_finite(cols.data(), cols.numel()))
+      tensor::ConvColumns kept;
+      Tensor out;
+      tensor::conv2d_forward(in, g, w, nullptr, &kept, out);
+      const Tensor& cols = kept.matrix();
+      EXPECT_EQ(kept.finite(), tensor::all_finite(cols.data(), cols.numel()))
           << "h=" << gc.h << " w=" << gc.w << " k=" << gc.kernel
           << " s=" << gc.stride << " p=" << gc.pad << " at=" << at;
-      EXPECT_EQ(tensor::conv2d_forward(in, g, w, nullptr, &kept, out), report);
-      EXPECT_TRUE(bit_identical(kept.storage(), cols.storage()));
+      EXPECT_TRUE(bit_identical(cols.storage(), naive_im2col(in, g).storage()));
     }
   }
 }
