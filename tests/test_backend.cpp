@@ -32,6 +32,7 @@
 #include "fl/algorithm.hpp"
 #include "fl/runner.hpp"
 #include "fl/store/format.hpp"
+#include "models/split_model.hpp"
 #include "nn/conv.hpp"
 #include "nn/depthwise.hpp"
 #include "nn/layers.hpp"
@@ -993,6 +994,55 @@ TEST(ConvKnownAnswer, BasicBlockPassesMatchRecordedBits) {
       const auto got = block_pass_crcs(bc);
       EXPECT_EQ(got, std::vector<std::uint32_t>(bc.simd, bc.simd + 4))
           << bc.name << " cpu-simd: " << hex_list(got);
+    }
+  }
+}
+
+// Whole-model parameter gradients of one training step, recorded while the
+// model's first layer still computed the input gradient nobody reads.
+// Dropping that work must leave dW and db of every layer bit-identical.
+
+struct ModelGradCase {
+  const char* arch;
+  std::size_t in_ch;
+  std::uint32_t scalar, simd;
+};
+
+const ModelGradCase kModelGradCrcs[] = {
+    {"cnn2", 1, 0xa2c77618u, 0x29bf3e55u},
+    {"resnet20", 3, 0x9d9a1c66u, 0x306bca00u},
+    {"vgg11", 3, 0x36171864u, 0xa8fea82bu},
+};
+
+std::uint32_t model_grads_crc(const ModelGradCase& mc) {
+  models::ModelConfig cfg;
+  cfg.arch = mc.arch;
+  cfg.in_channels = mc.in_ch;
+  cfg.input_size = 16;
+  cfg.width_mult = 0.25;
+  common::Rng rng(77);
+  models::SplitModel m = models::build_model(cfg, rng);
+  const Tensor x = Tensor::randn({4, mc.in_ch, 16, 16}, rng);
+  Tensor dlogits;
+  tensor::cross_entropy(m.forward(x, /*train=*/true), {0, 1, 2, 3},
+                        &dlogits);
+  m.zero_grad();
+  m.backward(dlogits);
+  const std::vector<float> g = nn::flatten_grads(m.all_params());
+  return fl::store::crc32(g.data(), g.size() * sizeof(float));
+}
+
+TEST(ModelGradKnownAnswer, ParameterGradientsMatchRecordedBits) {
+  for (const ModelGradCase& mc : kModelGradCrcs) {
+    {
+      BackendGuard guard(BackendKind::kScalar);
+      const std::uint32_t got = model_grads_crc(mc);
+      EXPECT_EQ(got, mc.scalar) << mc.arch << " scalar: " << hex_list({got});
+    }
+    if (tensor::cpu_simd_supported()) {
+      BackendGuard guard(BackendKind::kCpuSimd);
+      const std::uint32_t got = model_grads_crc(mc);
+      EXPECT_EQ(got, mc.simd) << mc.arch << " cpu-simd: " << hex_list({got});
     }
   }
 }
