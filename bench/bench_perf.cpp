@@ -3,7 +3,8 @@
 //
 // bench_perf — min-of-N microbenchmarks over the hot kernels, emitting a
 // machine-readable BENCH_PERF.json that scripts/perf_gate.py compares
-// against the checked-in baseline (bench/baselines/BENCH_PERF.baseline.json).
+// against the checked-in baseline of its backend
+// (bench/baselines/BENCH_PERF.<backend>.baseline.json).
 //
 //   bench_perf [--out FILE] [--smoke] [--handicap kernel=factor]
 //              [--backend scalar|cpu-simd|auto]
@@ -19,7 +20,15 @@
 // double-packing round trip, and a durable store commit. Each kernel runs `reps` iterations per trial and the minimum
 // per-rep wall time across trials is reported — the minimum is the
 // standard noise-rejecting statistic for microbenches (interruptions only
-// ever make a trial slower, never faster).
+// ever make a trial slower, never faster). Every kernel runs on a one-thread
+// pool, like the calibration below.
+//
+// Host calibration: after every kernel trial the sweep also times one trial
+// of a fixed scalar loop, and the minimum over all of them is written as
+// "calibration_ns". The gate compares min_ns_per_rep / calibration_ns with
+// the baseline's ratio, so a host that runs everything slower (a shared VM,
+// a lower clock) moves both and the ratio holds, while a slower kernel
+// moves only its own time.
 //
 // --smoke collapses to one rep x one trial per kernel: a schema/liveness
 // check cheap enough to ride ctest, making no wall-time claims.
@@ -41,6 +50,7 @@
 
 #include "common/flags.hpp"
 #include "common/rng.hpp"
+#include "common/thread_pool.hpp"
 #include "common/timer.hpp"
 #include "fl/checkpoint.hpp"
 #include "fl/fault.hpp"
@@ -68,8 +78,36 @@ struct KernelResult {
   double handicap = 1.0;
 };
 
+/// The fixed calibration loop: a dependent multiply-add chain and a
+/// dependent sum over 256 KB, so it tracks the core clock and cache speed
+/// the kernels run at. Not vectorized at -O2 (the sums are ordered).
+class Calibration {
+ public:
+  Calibration() : buf_(1 << 16) {
+    Rng rng(0xBE7C00ULL);
+    for (float& v : buf_) v = rng.uniform_float(0.0f, 1.0f);
+  }
+
+  /// Runs one trial and keeps the fastest so far.
+  void trial() {
+    Timer timer;
+    float acc = 0.0f, x = 1.0f;
+    for (const float v : buf_) acc += v;
+    for (int k = 0; k < 65536; ++k) x = x * 0.999f + 0.5f;
+    g_sink += double(acc) + double(x);
+    best_ = std::min(best_, timer.seconds() * 1.0e9);
+  }
+
+  double best_ns() const { return best_; }
+
+ private:
+  std::vector<float> buf_;
+  double best_ = std::numeric_limits<double>::infinity();
+};
+
 template <typename Body>
-KernelResult measure(std::uint64_t reps, std::uint64_t trials, Body&& body) {
+KernelResult measure(std::uint64_t reps, std::uint64_t trials,
+                     Calibration& calibration, Body&& body) {
   KernelResult result;
   result.reps = reps;
   result.trials = trials;
@@ -78,6 +116,7 @@ KernelResult measure(std::uint64_t reps, std::uint64_t trials, Body&& body) {
     Timer timer;
     for (std::uint64_t r = 0; r < reps; ++r) body();
     best = std::min(best, timer.seconds() * 1.0e9 / double(reps));
+    calibration.trial();
   }
   result.min_ns_per_rep = best;
   return result;
@@ -145,6 +184,11 @@ int main(int argc, char** argv) {
   const auto reps = [smoke](std::uint64_t n) { return smoke ? 1 : n; };
 
   std::map<std::string, KernelResult> results;
+  // One thread for the kernels, like the calibration loop they are
+  // divided by.
+  spatl::common::ThreadPool pool(0);
+  spatl::common::ThreadPool::ScopedOverride one_thread(pool);
+  Calibration calibration;
 
   // --- gemm: the 128^3 GEMM at the heart of every dense/conv layer -------
   {
@@ -153,7 +197,7 @@ int main(int argc, char** argv) {
     Tensor a = Tensor::randn({n, n}, rng);
     Tensor b = Tensor::randn({n, n}, rng);
     Tensor c({n, n});
-    results["gemm"] = measure(reps(8), trials, [&] {
+    results["gemm"] = measure(reps(8), trials, calibration, [&] {
       spatl::tensor::matmul(a, b, c);
       g_sink += double(c.data()[0]);
     });
@@ -181,7 +225,7 @@ int main(int argc, char** argv) {
         }
       }
     }
-    results["conv"] = measure(reps(16), trials, [&] {
+    results["conv"] = measure(reps(16), trials, calibration, [&] {
       Tensor out = conv.forward(input, /*train=*/true);
       Tensor dx = conv.backward(grad);
       g_sink += double(out.data()[0]) + double(dx.data()[0]);
@@ -205,7 +249,7 @@ int main(int argc, char** argv) {
     spatl::fl::ResilienceConfig rc;
     rc.aggregator = spatl::fl::AggregatorKind::kCoordinateMedian;
     const auto agg = spatl::fl::make_robust_aggregator(rc);
-    results["robust_median"] = measure(reps(16), trials, [&] {
+    results["robust_median"] = measure(reps(16), trials, calibration, [&] {
       const auto outcome = agg->aggregate(updates, kDim);
       g_sink += double(outcome.value[0]);
     });
@@ -217,7 +261,7 @@ int main(int argc, char** argv) {
     rc.aggregator = spatl::fl::AggregatorKind::kKrum;
     rc.krum_f = 3;
     const auto agg = spatl::fl::make_robust_aggregator(rc);
-    results["robust_krum"] = measure(reps(16), trials, [&] {
+    results["robust_krum"] = measure(reps(16), trials, calibration, [&] {
       const auto outcome = agg->aggregate(updates, kDim);
       g_sink += double(outcome.value[0]);
     });
@@ -230,7 +274,7 @@ int main(int argc, char** argv) {
     for (double& v : doubles) v = rng.uniform(-10.0, 10.0);
     std::vector<std::uint64_t> words(kDim);
     for (std::uint64_t& w : words) w = rng.next();
-    results["ckpt_pack"] = measure(reps(64), trials, [&] {
+    results["ckpt_pack"] = measure(reps(64), trials, calibration, [&] {
       const auto packed_d = spatl::fl::pack_doubles("bench.doubles", doubles);
       const auto back_d = spatl::fl::unpack_doubles(packed_d.value);
       const auto packed_u = spatl::fl::pack_u64s("bench.words", words);
@@ -254,7 +298,7 @@ int main(int argc, char** argv) {
     spatl::fl::RunCheckpoint ckpt;
     ckpt.entries.push_back(spatl::fl::pack_floats("bench.weights", weights));
     std::size_t round = 0;
-    results["store_commit"] = measure(reps(8), trials, [&] {
+    results["store_commit"] = measure(reps(8), trials, calibration, [&] {
       if (!store.commit(++round, ckpt)) g_sink += 1.0;
     });
     fs::remove_all(dir);
@@ -285,6 +329,7 @@ int main(int argc, char** argv) {
       .add("mode", smoke ? "smoke" : "full")
       .add("backend",
            spatl::tensor::backend_name(spatl::tensor::active_backend()))
+      .add("calibration_ns", calibration.best_ns())
       .add_raw("kernels", kernels.str());
 
   std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
@@ -301,6 +346,8 @@ int main(int argc, char** argv) {
                 (unsigned long long)r.trials, (unsigned long long)r.reps,
                 r.handicap != 1.0 ? "  [HANDICAPPED]" : "");
   }
+  std::printf("%-14s %10.0f ns      (min over all kernel trials)\n",
+              "calibration", calibration.best_ns());
   std::printf("checksum %.6f -> %s\n", g_sink, out_path.c_str());
   return 0;
 }

@@ -10,13 +10,22 @@ carries tolerances: `tolerance_default` (fractional headroom applied to
 every kernel) and per-kernel overrides under `tolerances` for kernels with
 inherently noisier timings (disk-bound store commits, for example).
 
-A kernel FAILS when
+Timings are host-relative: each document carries `calibration_ns`, the
+min-of-N time of a fixed loop bench_perf ran between its kernel trials,
+and a kernel is judged by its ratio to it. A host that is slower overall
+(a shared VM, a lower clock) slows the loop with the kernels, so absolute
+baselines recorded elsewhere still apply. A kernel FAILS when
 
-    current.min_ns_per_rep > baseline.min_ns_per_rep * (1 + tolerance)
+    current.min_ns_per_rep / current.calibration_ns >
+        baseline.min_ns_per_rep / baseline.calibration_ns * (1 + tolerance)
+
+and the "limit ns" column prints that bound scaled to the current host.
 
 Missing kernels fail too (a silently dropped kernel must not pass the
-gate), as do handicapped or smoke-mode current runs — those make no honest
-wall-time claim. Exit codes: 0 pass, 1 regression, 2 bad input.
+gate). Smoke-mode current runs are refused, since they make no honest
+wall-time claim; a handicapped run is compared like any other, which is
+how its inflated kernel demonstrates the failure path. Exit codes: 0
+pass, 1 regression, 2 bad input.
 """
 
 import json
@@ -68,6 +77,19 @@ def main(argv):
         # A handicapped run still flows through the comparison below: the
         # handicap exists precisely to demonstrate the failure path.
 
+    calibrations = []
+    for path, doc in ((argv[1], current), (argv[2], baseline)):
+        cal = doc.get("calibration_ns")
+        if not isinstance(cal, (int, float)) or cal <= 0:
+            print(f"perf_gate: {path} has no calibration_ns (re-record it "
+                  "with the current bench_perf)", file=sys.stderr)
+            return 2
+        calibrations.append(float(cal))
+    # Baseline times rescaled to the current host.
+    host_scale = calibrations[0] / calibrations[1]
+    print(f"calibration: current {calibrations[0]:.0f} ns, baseline "
+          f"{calibrations[1]:.0f} ns (host scale {host_scale:.3f})")
+
     tol_default = float(baseline.get("tolerance_default", 1.0))
     tol_overrides = baseline.get("tolerances", {})
 
@@ -77,7 +99,7 @@ def main(argv):
     for name, base in sorted(baseline.get("kernels", {}).items()):
         base_ns = float(base["min_ns_per_rep"])
         tol = float(tol_overrides.get(name, tol_default))
-        limit = base_ns * (1.0 + tol)
+        limit = base_ns * host_scale * (1.0 + tol)
         cur = current.get("kernels", {}).get(name)
         if cur is None:
             print(f"{name:<16}{base_ns:>14.0f}{'missing':>14}{limit:>14.0f}"

@@ -4,6 +4,8 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "tensor/ops.hpp"
+
 namespace spatl::fl {
 
 data::GradHook make_proximal_hook(std::vector<float> anchor, double mu) {
@@ -47,10 +49,7 @@ void axpy(std::vector<float>& a, const std::vector<float>& b, float scale) {
 }
 
 bool is_finite(const std::vector<float>& v) {
-  for (const float x : v) {
-    if (!std::isfinite(x)) return false;
-  }
-  return true;
+  return tensor::all_finite(v.data(), v.size());
 }
 
 double l2_norm(const std::vector<float>& v) {

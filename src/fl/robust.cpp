@@ -8,6 +8,7 @@
 #include "common/check.hpp"
 #include "fl/fault.hpp"
 #include "fl/flat_utils.hpp"
+#include "tensor/ops.hpp"
 
 namespace spatl::fl {
 
@@ -115,29 +116,37 @@ class CoordinateMedianAggregator : public RobustAggregator {
     dcheck_updates(updates, dim);
     AggregateOutcome out;
     init_outcome(out, dim);
-    std::vector<Cursor> cur(updates.size());
-    std::vector<float> col;
-    col.reserve(updates.size());
+    // Dense updates are read in place. A masked update is expanded to a
+    // dense row with +inf on the coordinates it did not send, and each
+    // coordinate's owner count tells the kernel how many of its values
+    // are real: +inf ranks last, so the count's middle order statistics
+    // are the owners'.
+    std::vector<const float*> rows;
+    std::vector<std::vector<float>> expanded;
+    std::vector<std::uint32_t> counts;
+    rows.reserve(updates.size());
+    expanded.reserve(updates.size());
+    for (const auto& u : updates) {
+      if (u.mask == nullptr) {
+        rows.push_back(u.values->data());
+        continue;
+      }
+      if (counts.empty()) counts.assign(dim, 0);
+      auto& row = expanded.emplace_back(
+          dim, std::numeric_limits<float>::infinity());
+      for_each_coord(u, dim, [&](std::size_t j, float v) { row[j] = v; });
+      rows.push_back(row.data());
+    }
+    if (!counts.empty()) {
+      for (const auto& u : updates) {
+        for_each_coord(u, dim, [&](std::size_t j, float) { ++counts[j]; });
+      }
+    }
+    tensor::coordinate_median(rows.data(), rows.size(),
+                              counts.empty() ? nullptr : counts.data(), dim,
+                              out.value.data());
     for (std::size_t j = 0; j < dim; ++j) {
-      col.clear();
-      for (std::size_t s = 0; s < updates.size(); ++s) {
-        const auto& u = updates[s];
-        if (!owns(u, j)) continue;
-        col.push_back((*u.values)[u.mask ? cur[s].p++ : j]);
-      }
-      if (col.empty()) continue;
-      const std::size_t mid = col.size() / 2;
-      std::nth_element(col.begin(), col.begin() + std::ptrdiff_t(mid),
-                       col.end());
-      float med = col[mid];
-      if (col.size() % 2 == 0) {
-        // Even count: average the two middle order statistics.
-        const float lo =
-            *std::max_element(col.begin(), col.begin() + std::ptrdiff_t(mid));
-        med = 0.5f * (lo + med);
-      }
-      out.value[j] = med;
-      out.defined[j] = 1;
+      out.defined[j] = counts.empty() ? !updates.empty() : counts[j] > 0;
     }
     return out;
   }

@@ -124,11 +124,11 @@ RunResult run_federated(FederatedAlgorithm& algo, const RunOptions& opts,
   if (!algo.supports_resilience() &&
       (opts.faults || opts.resilience ||
        (opts.async && opts.async->enabled) || opts.escalation.enabled ||
-       opts.krum_auto_f)) {
+       opts.krum_auto_f || opts.churn)) {
     throw std::invalid_argument(
         algo.name() +
-        " does not honour fault, Byzantine, robust-aggregation or async "
-        "options");
+        " does not honour fault, Byzantine, robust-aggregation, async or "
+        "churn options");
   }
   RunResult result;
   // Pin the compute backend before any kernel runs: every GEMM in the round

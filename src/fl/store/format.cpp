@@ -6,6 +6,7 @@
 #include <limits>
 #include <sstream>
 
+#include "common/check.hpp"
 #include "fl/store/error.hpp"
 
 namespace spatl::fl::store {
@@ -22,19 +23,56 @@ constexpr std::uint64_t kMaxEntries = 1'000'000ULL;
 constexpr std::uint64_t kMaxNameLen = 4096;
 constexpr std::uint64_t kMaxRank = 8;
 
-const std::array<std::uint32_t, 256>& crc_table() {
-  static const std::array<std::uint32_t, 256> table = [] {
-    std::array<std::uint32_t, 256> t{};
+constexpr std::uint32_t kCrcPoly = 0xEDB88320U;
+
+/// Slicing-by-8 tables: t[0] is the bytewise CRC table, and t[k][b] is the
+/// CRC register after byte b is followed by k zero bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+const CrcTables& crc_tables() {
+  static const CrcTables tables = [] {
+    CrcTables t{};
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
-        c = (c & 1U) ? (0xEDB88320U ^ (c >> 1)) : (c >> 1);
+        c = (c & 1U) ? (kCrcPoly ^ (c >> 1)) : (c >> 1);
       }
-      t[i] = c;
+      t[0][i] = c;
+    }
+    for (std::size_t k = 1; k < 8; ++k) {
+      for (std::uint32_t i = 0; i < 256; ++i) {
+        t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFU];
+      }
     }
     return t;
   }();
-  return table;
+  return tables;
+}
+
+/// a(x) * b(x) modulo the CRC polynomial, both in reflected bit order.
+std::uint32_t multmodp(std::uint32_t a, std::uint32_t b) {
+  std::uint32_t m = 1U << 31, p = 0;
+  for (;;) {
+    if (a & m) {
+      p ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    m >>= 1;
+    b = (b & 1U) ? (b >> 1) ^ kCrcPoly : b >> 1;
+  }
+  return p;
+}
+
+/// x^(8 * len) modulo the CRC polynomial: the operator that shifts a CRC
+/// register past len zero bytes, from x^(2^k) by repeated squaring.
+std::uint32_t shift_operator(std::size_t len) {
+  std::uint32_t x2k = 1U << 23;  // x^8: one byte (x^k is bit 31 - k)
+  std::uint32_t p = 1U << 31;    // x^0
+  for (; len != 0; len >>= 1) {
+    if (len & 1U) p = multmodp(x2k, p);
+    x2k = multmodp(x2k, x2k);
+  }
+  return p;
 }
 
 template <typename T>
@@ -81,24 +119,44 @@ struct Cursor {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
-  const auto& table = crc_table();
+  const CrcTables& t = crc_tables();
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t c = seed ^ 0xFFFFFFFFU;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = table[(c ^ p[i]) & 0xFFU] ^ (c >> 8);
+  for (; size >= 8; size -= 8, p += 8) {
+    const std::uint32_t lo = c ^ (std::uint32_t(p[0]) |
+                                  std::uint32_t(p[1]) << 8 |
+                                  std::uint32_t(p[2]) << 16 |
+                                  std::uint32_t(p[3]) << 24);
+    c = t[7][lo & 0xFFU] ^ t[6][(lo >> 8) & 0xFFU] ^
+        t[5][(lo >> 16) & 0xFFU] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+        t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
   }
+  for (; size > 0; --size, ++p) c = t[0][(c ^ *p) & 0xFFU] ^ (c >> 8);
   return c ^ 0xFFFFFFFFU;
+}
+
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::size_t len_b) {
+  return multmodp(shift_operator(len_b), crc_a) ^ crc_b;
 }
 
 std::string encode_checkpoint(
     const std::vector<tensor::NamedTensor>& entries) {
+  std::size_t total = kHeaderSize + 4 * entries.size() + 8;
+  for (const auto& e : entries) {
+    total += 8 + e.name.size() + 8 + 8 * e.value.rank() +
+             e.value.numel() * sizeof(float);
+  }
   std::string out;
+  out.reserve(total);
   append_pod(out, kEnvelopeMagic);
   append_pod(out, kEnvelopeVersion);
   append_pod(out, std::uint64_t(entries.size()));
   // Entry byte layout matches tensor/serialize.cpp's write_tensors body so
   // the envelope is "the tensor stream plus integrity" — any divergence
-  // here would be caught by the round-trip tests.
+  // here would be caught by the round-trip tests. Each byte is read once:
+  // the payload CRC is the header's CRC combined with the entries'.
+  std::uint32_t payload_crc = crc32(out.data(), out.size());
   std::vector<std::uint32_t> entry_crcs;
   entry_crcs.reserve(entries.size());
   for (const auto& e : entries) {
@@ -111,12 +169,14 @@ std::string encode_checkpoint(
     }
     out.append(reinterpret_cast<const char*>(e.value.data()),
                e.value.numel() * sizeof(float));
-    entry_crcs.push_back(crc32(out.data() + start, out.size() - start));
+    const std::size_t len = out.size() - start;
+    entry_crcs.push_back(crc32(out.data() + start, len));
+    payload_crc = crc32_combine(payload_crc, entry_crcs.back(), len);
   }
-  const std::uint32_t payload_crc = crc32(out.data(), out.size());
   for (const std::uint32_t c : entry_crcs) append_pod(out, c);
   append_pod(out, payload_crc);
   append_pod(out, kFooterMagic);
+  SPATL_DCHECK(out.size() == total);
   return out;
 }
 
@@ -207,8 +267,11 @@ std::vector<tensor::NamedTensor> decode_checkpoint(const std::string& bytes,
   }
 
   // Integrity: per-entry CRCs first (best attribution), then the payload
-  // CRC over header + entries (covers the header fields themselves).
+  // CRC over header + entries (covers the header fields themselves). The
+  // entries tile [kHeaderSize, body_end), so the payload CRC is the
+  // header's combined with theirs and no byte is read twice.
   Cursor footer{bytes, body_end, bytes.size(), path};
+  std::uint32_t payload_crc = crc32(bytes.data(), kHeaderSize);
   for (std::uint64_t i = 0; i < count; ++i) {
     const auto stored = footer.read<std::uint32_t>("entry CRC", "");
     const auto [start, end] = spans[std::size_t(i)];
@@ -217,9 +280,10 @@ std::vector<tensor::NamedTensor> decode_checkpoint(const std::string& bytes,
       throw CheckpointError(path, entries[std::size_t(i)].name,
                             "entry CRC mismatch");
     }
+    payload_crc = crc32_combine(payload_crc, actual, end - start);
   }
   const auto stored_payload = footer.read<std::uint32_t>("payload CRC", "");
-  if (stored_payload != crc32(bytes.data(), body_end)) {
+  if (stored_payload != payload_crc) {
     throw CheckpointError(path, "", "payload CRC mismatch");
   }
   return entries;

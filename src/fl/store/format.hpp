@@ -37,10 +37,17 @@
 
 namespace spatl::fl::store {
 
-/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320). `seed` chains partial
+/// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320), eight bytes per step
+/// through eight lookup tables (slicing-by-8). `seed` chains partial
 /// computations: crc32(b, crc32(a)) == crc32(a ++ b).
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);
+
+/// crc32(a ++ b) from crc_a = crc32(a), crc_b = crc32(b) and the length of
+/// b, without reading either: zlib's combine, O(log len_b) GF(2)
+/// polynomial products.
+std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
+                            std::size_t len_b);
 
 /// Serialize entries into the durable envelope (header + tensor stream +
 /// CRC footer).

@@ -38,8 +38,8 @@ nn::Tensor SplitModel::forward(const nn::Tensor& input, bool train) {
   return predictor_->forward(encoder_->forward(input, train), train);
 }
 
-nn::Tensor SplitModel::backward(const nn::Tensor& grad_logits) {
-  return encoder_->backward(predictor_->backward(grad_logits));
+void SplitModel::backward(const nn::Tensor& grad_logits) {
+  encoder_->backward_params(predictor_->backward(grad_logits));
 }
 
 nn::Tensor SplitModel::encode(const nn::Tensor& input, bool train) {

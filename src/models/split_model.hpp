@@ -28,9 +28,10 @@ class SplitModel {
   /// Full forward: predictor(encoder(x)). Returns logits (N, classes).
   nn::Tensor forward(const nn::Tensor& input, bool train);
 
-  /// Backward from d(loss)/d(logits) through predictor then encoder.
-  /// Returns d(loss)/d(input).
-  nn::Tensor backward(const nn::Tensor& grad_logits);
+  /// Backward from d(loss)/d(logits) through predictor then encoder,
+  /// accumulating every parameter gradient. d(loss)/d(input) is not
+  /// formed: the encoder's first layer runs backward_params.
+  void backward(const nn::Tensor& grad_logits);
 
   /// Encoder-only forward (the embedding shared across clients).
   nn::Tensor encode(const nn::Tensor& input, bool train);

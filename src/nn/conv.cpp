@@ -85,7 +85,7 @@ Tensor Conv2d::forward(const Tensor& input, bool train) {
   return out;
 }
 
-Tensor Conv2d::backward(const Tensor& grad_output) {
+Tensor Conv2d::accumulate_param_grads(const Tensor& grad_output) {
   if (!cached_train_) {
     throw std::logic_error("Conv2d::backward requires a train forward");
   }
@@ -109,10 +109,19 @@ Tensor Conv2d::backward(const Tensor& grad_output) {
       }
     }
   }
+  return grows;
+}
+
+Tensor Conv2d::backward(const Tensor& grad_output) {
+  const Tensor grows = accumulate_param_grads(grad_output);
   // dX = col2im(dRows * W)
   Tensor dx;
   tensor::conv2d_backward_data(grows, w_, cached_geom_, dx);
   return dx;
+}
+
+void Conv2d::backward_params(const Tensor& grad_output) {
+  (void)accumulate_param_grads(grad_output);
 }
 
 void Conv2d::collect_params(const std::string& prefix,

@@ -17,6 +17,8 @@ class Conv2d : public Module {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// dW and db only: no dCols GEMM and no col2im.
+  void backward_params(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix,
                       std::vector<ParamView>& out) override;
   void init_params(common::Rng& rng) override;
@@ -39,6 +41,10 @@ class Conv2d : public Module {
   bool cached_train_ = false;
   tensor::Conv2dGeom cached_geom_;
   std::size_t cached_batch_ = 0;
+
+  /// Adds dW and db of the cached train forward into gw_ and gb_, and
+  /// returns the output gradient as (N * out_h * out_w, out) rows.
+  Tensor accumulate_param_grads(const Tensor& grad_output);
 };
 
 }  // namespace spatl::nn

@@ -41,6 +41,13 @@ class Module {
   /// gradients and returns d(loss)/d(input). Must follow a forward() call.
   virtual Tensor backward(const Tensor& grad_output) = 0;
 
+  /// backward() where nobody reads d(loss)/d(input), as for a model's first
+  /// layer: accumulates the same parameter gradients, and a module may
+  /// skip computing the input gradient. Default: backward(), result dropped.
+  virtual void backward_params(const Tensor& grad_output) {
+    (void)backward(grad_output);
+  }
+
   /// Append this module's parameters (names prefixed by `prefix`) to `out`.
   virtual void collect_params(const std::string& prefix,
                               std::vector<ParamView>& out) {

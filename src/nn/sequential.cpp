@@ -16,6 +16,15 @@ Tensor Sequential::backward(const Tensor& grad_output) {
   return g;
 }
 
+void Sequential::backward_params(const Tensor& grad_output) {
+  if (children_.empty()) return;
+  Tensor g = grad_output;
+  for (std::size_t i = children_.size() - 1; i > 0; --i) {
+    g = children_[i]->backward(g);
+  }
+  children_.front()->backward_params(g);
+}
+
 void Sequential::collect_params(const std::string& prefix,
                                 std::vector<ParamView>& out) {
   for (std::size_t i = 0; i < children_.size(); ++i) {

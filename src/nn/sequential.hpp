@@ -34,6 +34,8 @@ class Sequential : public Module {
 
   Tensor forward(const Tensor& input, bool train) override;
   Tensor backward(const Tensor& grad_output) override;
+  /// The first child runs backward_params, so a leading conv skips dX.
+  void backward_params(const Tensor& grad_output) override;
   void collect_params(const std::string& prefix,
                       std::vector<ParamView>& out) override;
   void init_params(common::Rng& rng) override;

@@ -34,7 +34,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
 
 namespace spatl::tensor {
 
@@ -59,13 +62,28 @@ bool cpu_simd_supported();
 /// bit-neutral for the GEMM family: no reduction crosses a row.
 inline constexpr std::size_t kGemmRowTile = 4;
 
-/// A compute backend: row-panel GEMM kernels. `row_lo`/`row_hi` bound the
-/// output rows this call owns; panels never overlap, so implementations are
-/// free of synchronization. `b_finite` is the caller's one-shot finiteness
-/// pre-scan of the B operand: zero-row elision (skipping a_ip == 0 terms)
-/// is permitted ONLY when it is true — with a non-finite B every product
-/// must be formed so 0 * NaN/Inf propagates per IEEE-754 (the divergence
-/// guard's contract, DESIGN.md §15).
+/// Columns per coordinate-median block: one AVX2 vector of floats.
+inline constexpr std::size_t kMedianBlock = 8;
+
+/// A comparator list over the `wires` values of a column, built once per
+/// call by coordinate_median (tensor/ops.hpp). Each pair (a, b), a < b,
+/// holds tile offsets a = i * kMedianBlock, b = j * kMedianBlock of wires
+/// i < j and leaves the smaller key on wire i and the larger on wire j.
+/// Running the pairs in order leaves every wire a median selection reads
+/// holding the order statistic of its index.
+struct MedianNetwork {
+  std::size_t wires = 0;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs;
+};
+
+/// A compute backend: row-panel GEMM kernels and coordinate-median blocks.
+/// `row_lo`/`row_hi` bound the output rows this call owns; panels never
+/// overlap, so implementations are free of synchronization. `b_finite` is
+/// the caller's one-shot finiteness pre-scan of the B operand: zero-row
+/// elision (skipping a_ip == 0 terms) is permitted ONLY when it is true —
+/// with a non-finite B every product must be formed so 0 * NaN/Inf
+/// propagates per IEEE-754 (the divergence guard's contract, DESIGN.md
+/// §15).
 class ComputeContext {
  public:
   virtual ~ComputeContext() = default;
@@ -91,6 +109,19 @@ class ComputeContext {
   virtual void gemm_nt(const float* a, const float* b, float* c,
                        std::size_t row_lo, std::size_t row_hi, std::size_t k,
                        std::size_t n) const = 0;
+
+  /// Coordinate medians of columns [kMedianBlock * block_lo,
+  /// min(kMedianBlock * block_hi, dim)) of the `net.wires` rows, written to
+  /// `out` (the contract of tensor::coordinate_median). Each block of
+  /// columns maps the values to order-preserving int32 keys, runs
+  /// `net.pairs` with key min/max, and selects the middle order
+  /// statistic(s) of each column's count. Min and max of integers are
+  /// exact, so every backend returns the same bits.
+  virtual void median_blocks(const float* const* rows,
+                             const std::uint32_t* counts,
+                             const MedianNetwork& net, std::size_t dim,
+                             std::size_t block_lo, std::size_t block_hi,
+                             float* out) const = 0;
 };
 
 /// The scalar reference backend. Always available.

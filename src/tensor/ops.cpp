@@ -634,6 +634,72 @@ void conv2d_backward_data(const Tensor& grad_rows, const Tensor& w,
       std::max<std::size_t>(1, gemm_grain(m, k, n) / hw));
 }
 
+namespace {
+
+/// Batcher's odd-even merge sort over `wires` values padded with +inf to a
+/// power of two, keeping the comparators that join two real wires (a
+/// padding wire holds the largest key, so its comparators change nothing)
+/// and feed one of the output wires [first_out, last_out].
+MedianNetwork median_network(std::size_t wires, std::size_t first_out,
+                             std::size_t last_out) {
+  std::size_t size = 1;
+  while (size < wires) size <<= 1;
+  std::vector<std::pair<std::size_t, std::size_t>> all;
+  for (std::size_t p = 1; p < size; p <<= 1) {
+    for (std::size_t k = p; k > 0; k >>= 1) {
+      for (std::size_t j = k % p; j + k < size; j += 2 * k) {
+        for (std::size_t i = j; i < j + k && i + k < wires; ++i) {
+          if (i / (2 * p) == (i + k) / (2 * p)) all.emplace_back(i, i + k);
+        }
+      }
+    }
+  }
+  std::vector<std::uint8_t> live(wires, 0);
+  for (std::size_t w = first_out; w <= last_out; ++w) live[w] = 1;
+  std::vector<std::uint8_t> keep(all.size(), 0);
+  for (std::size_t c = all.size(); c-- > 0;) {
+    const auto [a, b] = all[c];
+    if (live[a] || live[b]) keep[c] = live[a] = live[b] = 1;
+  }
+  MedianNetwork net;
+  net.wires = wires;
+  for (std::size_t c = 0; c < all.size(); ++c) {
+    if (!keep[c]) continue;
+    net.pairs.emplace_back(std::uint32_t(all[c].first * kMedianBlock),
+                           std::uint32_t(all[c].second * kMedianBlock));
+  }
+  return net;
+}
+
+}  // namespace
+
+void coordinate_median(const float* const* rows, std::size_t n,
+                       const std::uint32_t* counts, std::size_t dim,
+                       float* out) {
+  if (n == 0) {
+    std::fill(out, out + dim, 0.0f);
+    return;
+  }
+  // A column of count c reads wire c / 2, and wire c / 2 - 1 when c is
+  // even, so the network only has to sort the wires the counts reach.
+  std::size_t first = (n - 1) / 2, last = n / 2;
+  if (counts != nullptr && dim > 0) {
+    const auto [lo, hi] = std::minmax_element(counts, counts + dim);
+    SPATL_DCHECK(*hi <= n);
+    first = *lo > 0 ? (*lo - 1) / 2 : 0;
+    last = std::max<std::size_t>(first, *hi / 2);
+  }
+  const MedianNetwork net = median_network(n, first, last);
+  const ComputeContext& ctx = active_context();
+  const std::size_t blocks = (dim + kMedianBlock - 1) / kMedianBlock;
+  common::parallel_for_ranges(
+      0, blocks,
+      [&](std::size_t lo, std::size_t hi) {
+        ctx.median_blocks(rows, counts, net, dim, lo, hi, out);
+      },
+      /*grain=*/std::max<std::size_t>(1, 32768 / (n * kMedianBlock)));
+}
+
 void softmax_rows(const Tensor& logits, Tensor& probs) {
   require(logits.rank() == 2, "softmax_rows: logits must be (N,C)");
   if (!probs.same_shape(logits)) probs = Tensor(logits.shape());

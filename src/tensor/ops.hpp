@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "tensor/tensor.hpp"
@@ -126,6 +127,35 @@ void col2im(const Tensor& columns, const Conv2dGeom& g, std::size_t batch,
 /// per-thread scratch, so no (pixels, C*k*k) tensor is allocated.
 void conv2d_backward_data(const Tensor& grad_rows, const Tensor& w,
                           const Conv2dGeom& g, Tensor& input_grad);
+
+// ------------------------------------------------ coordinate median ----
+
+/// Per-coordinate median of n rows of `dim` floats into out[0, dim). With
+/// `counts` null every column has n values. Otherwise column j has
+/// counts[j] <= n values and the rows hold +inf in its other slots (how
+/// the robust aggregator lays out a masked update's unowned coordinates).
+///
+///  * Count c: the order statistic at c / 2 when c is odd, and
+///    0.5f * (lo + hi) of the order statistics at c / 2 - 1 and c / 2 when
+///    it is even. A column with count 0 yields +0.
+///  * Values are ranked on order-preserving int32 keys, a total order in
+///    which -0 ranks below +0: {-0, +0, +0} has median +0, {-0, -0, +0}
+///    has -0, and the even pair {-0, +0} averages to +0. Any other column
+///    without a NaN gets exactly what a push_back + nth_element loop
+///    returns (for a -0/+0 tie among the middle order statistics that loop
+///    may return either zero).
+///  * A column with a NaN among its values yields the quiet NaN, so the
+///    divergence guard sees it (nth_element's ordering is undefined there).
+///
+/// Columns are sorted in blocks of kMedianBlock by a Batcher odd-even
+/// merge network over n wires padded with +inf to a power of two; the
+/// comparators that touch a padding wire are no-ops and are dropped, as
+/// are those that feed no wire a selection reads. Blocks run on the pool
+/// through parallel_for, and each column's bits depend only on its own
+/// values, so outputs are identical on every backend and pool size.
+void coordinate_median(const float* const* rows, std::size_t n,
+                       const std::uint32_t* counts, std::size_t dim,
+                       float* out);
 
 // ------------------------------------------------- softmax / loss ----
 

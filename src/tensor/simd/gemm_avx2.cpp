@@ -322,6 +322,13 @@ class Avx2Context final : public ComputeContext {
                std::size_t n) const override {
     gemm_dots(a, b, c, row_lo, row_hi, k, n);
   }
+
+  void median_blocks(const float* const* rows, const std::uint32_t* counts,
+                     const MedianNetwork& net, std::size_t dim,
+                     std::size_t block_lo, std::size_t block_hi,
+                     float* out) const override {
+    median_blocks_avx2(rows, counts, net, dim, block_lo, block_hi, out);
+  }
 };
 
 }  // namespace

@@ -80,8 +80,8 @@ TEST(CliFlags, AlgorithmsWithoutTheResiliencePathRefuseItsOptions) {
   // these options would otherwise be accepted and silently ignored.
   for (const char* algo :
        {"fedavgm", "fedadam", "fedavg+topk", "fedavg+int8"}) {
-    for (const char* option :
-         {"--fault-corruption 1.0", "--aggregator median"}) {
+    for (const char* option : {"--fault-corruption 1.0",
+                               "--aggregator median", "--churn-leave 0.5"}) {
       const Outcome r =
           run_cli(std::string("train --algo ") + algo +
                   " --rounds 1 --clients 2 --arch cnn2 --input 8 "

@@ -9,7 +9,9 @@
 // a thread-count-dependent reduction would corrupt them invisibly.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -122,6 +124,47 @@ TEST(ThreadDeterminism, ConvAndBatchNormBitIdenticalAcrossPoolSizes) {
   const auto eight = with_pool_size(8, run);
   EXPECT_TRUE(bit_identical(one, two));
   EXPECT_TRUE(bit_identical(one, eight));
+}
+
+TEST(ThreadDeterminism, CoordinateMedianBitIdenticalAcrossPoolSizes) {
+  // 16 rows of 40003 columns: thousands of blocks in many pool chunks, a
+  // tail block, and a counted variant whose odd rows are +inf-padded the
+  // way the robust aggregator pads masked updates. Each column's bits
+  // depend only on its values, on either backend.
+  common::Rng rng(31);
+  const std::size_t n = 16, dim = 40003;
+  std::vector<std::vector<float>> values(n, std::vector<float>(dim));
+  std::vector<std::uint32_t> counts(dim, 0);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t j = 0; j < dim; ++j) {
+      const bool owned = s % 2 == 0 || rng.bernoulli(0.5);
+      values[s][j] = owned ? rng.normal_float(0.0f, 1.0f)
+                           : std::numeric_limits<float>::infinity();
+      counts[j] += owned ? 1 : 0;
+    }
+  }
+  std::vector<const float*> rows;
+  for (const auto& v : values) rows.push_back(v.data());
+  const auto run = [&] {
+    std::vector<float> flat(2 * dim);
+    tensor::coordinate_median(rows.data(), n, nullptr, dim, flat.data());
+    tensor::coordinate_median(rows.data(), n, counts.data(), dim,
+                              flat.data() + dim);
+    return flat;
+  };
+  std::vector<tensor::BackendKind> kinds = {tensor::BackendKind::kScalar};
+  if (tensor::cpu_simd_supported()) {
+    kinds.push_back(tensor::BackendKind::kCpuSimd);
+  }
+  for (const auto kind : kinds) {
+    tensor::set_active_backend(kind);
+    const auto one = with_pool_size(1, run);
+    const auto two = with_pool_size(2, run);
+    const auto eight = with_pool_size(8, run);
+    EXPECT_TRUE(bit_identical(one, two)) << tensor::backend_name(kind);
+    EXPECT_TRUE(bit_identical(one, eight)) << tensor::backend_name(kind);
+  }
+  tensor::set_active_backend(tensor::BackendKind::kScalar);
 }
 
 TEST(ThreadDeterminism, FederatedRunBitIdenticalAcrossPoolSizes) {
